@@ -24,6 +24,7 @@ from repro.baselines.cusparse_spmv import cusparse_spmv
 from repro.core.heuristic import HeuristicParams, select_schedule
 from repro.core.schedule import LaunchParams, make_schedule
 from repro.core.work import WorkSpec
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import AMD_WARP64, V100
 from repro.gpusim.profiler import geomean
 from repro.sparse import generators as gen
@@ -128,7 +129,11 @@ class TestHeuristicThresholds:
                     speedups = []
                     for d in corpus:
                         sched = select_schedule(d.matrix, params)
-                        t = spmv(d.matrix, xs[d.name], schedule=sched).elapsed_ms
+                        t = spmv(
+                            d.matrix,
+                            xs[d.name],
+                            ctx=ExecutionContext(policy=sched),
+                        ).elapsed_ms
                         speedups.append(vendor[d.name] / t)
                     out[(alpha, beta)] = geomean(speedups)
             return out
@@ -183,7 +188,11 @@ class TestAbstractionTaxSensitivity:
             out = {}
             for tax in (0.0, 0.6, 1.2, 2.4, 9.6):
                 spec = V100.with_costs(range_overhead=tax)
-                ours = spmv(m, x, schedule="merge_path", spec=spec).elapsed_ms
+                ours = spmv(
+                    m,
+                    x,
+                    ctx=ExecutionContext(spec=spec, policy="merge_path"),
+                ).elapsed_ms
                 base = cub(m, x, spec)[1].elapsed_ms
                 out[tax] = ours / base
             return out

@@ -19,6 +19,7 @@ from repro.apps.sssp import sssp
 from repro.core.schedule import make_schedule
 from repro.core.schedules.merge_path import merge_path_partition
 from repro.core.work import WorkSpec
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import V100
 from repro.gpusim.sm_scheduler import schedule_blocks
 from repro.sparse import generators as gen
@@ -66,7 +67,11 @@ class TestExecutors:
 
     def test_spmv_full_pipeline(self, benchmark, big_matrix):
         x = np.random.default_rng(0).uniform(size=big_matrix.num_cols)
-        r = benchmark(lambda: spmv(big_matrix, x, schedule="merge_path"))
+        r = benchmark(lambda: spmv(
+            big_matrix,
+            x,
+            ctx=ExecutionContext(policy="merge_path"),
+        ))
         assert r.elapsed_ms > 0
 
     def test_sm_scheduler_100k_blocks(self, benchmark):

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import load_dataset, spmv
 from repro.core import Schedule, StepRange, WorkCosts, register_schedule
+from repro.engine import ExecutionContext
 from repro.gpusim import warp_fold
 
 
@@ -71,7 +72,7 @@ def main() -> None:
           f"CV = {dataset.meta['cv']:.2f})\n")
     print(f"{'schedule':<16} {'model ms':>10} {'SIMT efficiency':>16}")
     for name in ("chunked_tile", "thread_mapped", "merge_path"):
-        r = spmv(matrix, x, schedule=name)
+        r = spmv(matrix, x, ctx=ExecutionContext(policy=name))
         assert np.allclose(r.output, expected)
         print(f"{name:<16} {r.elapsed_ms:>10.5f} {r.stats.simt_efficiency:>16.3f}")
 

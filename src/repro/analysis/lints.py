@@ -8,8 +8,9 @@ plumbing.  The built-ins guard the contracts earlier PRs introduced:
 ``env-docs``
     Every ``REPRO_*`` environment variable read anywhere under ``src/``
     or ``benchmarks/`` must appear (backticked) in README's environment
-    table.  Prefix globs in code (``REPRO_PROBLEM_CACHE_*`` spellings)
-    are skipped.
+    table, and every ``REPRO_*`` name README mentions must still be read
+    there -- a documented variable must not outlive its code.  Prefix
+    globs (``REPRO_PROBLEM_CACHE_*`` spellings) are skipped.
 ``fault-sites``
     Every ``faults.inject("...")`` site string must be declared in
     :data:`repro.faults.KNOWN_SITES` and exercised by name in
@@ -95,8 +96,10 @@ def _lint_env_docs(root: Path) -> list[LintFinding]:
         set(_ENV_VAR.findall(readme.read_text())) if readme.is_file() else set()
     )
     findings = []
+    read: set[str] = set()
     seen: set[str] = set()
     for path, lineno, var in _iter_env_reads(root):
+        read.add(var)
         if var in documented or var in seen:
             continue
         seen.add(var)
@@ -111,6 +114,23 @@ def _lint_env_docs(root: Path) -> list[LintFinding]:
                 ),
             )
         )
+    if readme.is_file():
+        for lineno, line in enumerate(readme.read_text().splitlines(), start=1):
+            for var in _ENV_VAR.findall(line):
+                if var in read or var in seen or var.endswith("_"):
+                    continue
+                seen.add(var)
+                findings.append(
+                    LintFinding(
+                        lint="env-docs",
+                        path="README.md",
+                        line=lineno,
+                        message=(
+                            f"README.md documents environment variable {var}, "
+                            "but nothing under src/ or benchmarks/ reads it"
+                        ),
+                    )
+                )
     return findings
 
 

@@ -333,7 +333,7 @@ def run_probe(
     app: str, schedule: str, spec: GpuSpec = TINY_GPU, seed: int = 7
 ) -> ProbeResult:
     """Run one app under one schedule with shadow-write recording."""
-    from ..engine import get_app, run_app
+    from ..engine import ExecutionContext, get_app, run_app
 
     matrix = probe_instance()
     problem = get_app(app).sweep_problem(matrix, seed)
@@ -343,7 +343,8 @@ def run_probe(
         problem.max_iter = 2
     recorder = WriteRecorder()
     engine = ShadowSimtEngine(recorder)
-    run_app(app, problem, engine=engine, schedule=schedule, spec=spec)
+    ctx = ExecutionContext(engine=engine, spec=spec, policy=schedule)
+    run_app(app, problem, ctx=ctx)
     labels = tuple(
         (label, entry.launches, entry.overlapping_keys,
          entry.array_overlapping_keys)

@@ -13,17 +13,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     register_app,
     register_jit_warmup,
     run_app,
 )
-from ..gpusim.arch import GpuSpec
 from ..sparse.graph import CsrGraph
 from .common import AppResult
 from .traversal import graph_sweep_problem, run_frontier_loop
@@ -98,31 +97,16 @@ def bfs(
     graph: CsrGraph,
     source: int,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
+    ctx: ExecutionContext | None = None,
 ) -> AppResult:
     """Load-balanced BFS on the simulated GPU; returns hop depths.
 
     ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling (default schedule:
+    (:class:`~repro.engine.context.ExecutionContext`; default schedule:
     ``group_mapped``).
     """
     problem = SimpleNamespace(graph=graph, source=source)
-    return run_app(
-        "bfs",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("bfs", problem, ctx=ctx)
 
 
 def bfs_driver(problem, rt: Runtime) -> AppResult:

@@ -20,16 +20,16 @@ driver describes launches to a :class:`~repro.engine.dispatch.Runtime`
 and the selected engine (``"vector"``, ``"simt"``, ``"multi_gpu"``, ...;
 see :func:`~repro.engine.dispatch.available_engines`) does the rest.
 Switching the schedule *or* the engine is a one-identifier change, and no
-application module contains engine-specific plumbing.  Since the
-ExecutionContext redesign both identifiers -- plus the schedule *policy*,
-the device spec and the launch override -- travel together in one frozen
-:class:`~repro.engine.context.ExecutionContext` value.
+application module contains engine-specific plumbing.  Both identifiers
+-- plus the schedule *policy*, the device spec and the launch override
+-- travel together in one frozen
+:class:`~repro.engine.context.ExecutionContext` value, the ``ctx=``
+argument of every public app function.
 
 This module keeps the pieces the app declarations share: the
 :class:`AppResult` envelope, the SpMV cost model (reused by SpMM and the
 baselines), and input canonicalization helpers.  ``resolve_schedule``
-and ``ENGINES`` are re-exported from the engine layer for backward
-compatibility.
+is re-exported from the engine layer for the standalone operators.
 """
 
 from __future__ import annotations
@@ -40,15 +40,11 @@ from typing import Any
 import numpy as np
 
 from ..core.schedule import WorkCosts
-from ..engine.dispatch import available_engines, resolve_schedule
+from ..engine.dispatch import resolve_schedule
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats
 
-__all__ = ["AppResult", "resolve_schedule", "spmv_costs", "ENGINES"]
-
-#: Deprecated alias: the engine set lives in a registry now
-#: (:func:`repro.engine.dispatch.available_engines`).
-ENGINES = available_engines()
+__all__ = ["AppResult", "resolve_schedule", "spmv_costs"]
 
 
 @dataclass

@@ -16,15 +16,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..engine import (
     AppSpec,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     register_app,
     run_app,
 )
-from ..gpusim.arch import GpuSpec
 from ..sparse.convert import csr_transpose
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
@@ -76,18 +75,12 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-10,
     max_iter: int = 200,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
+    ctx: ExecutionContext | None = None,
 ) -> AppResult:
     """Load-balanced PageRank; one SpMV launch per iteration.
 
     ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling (default schedule:
+    (:class:`~repro.engine.context.ExecutionContext`; default schedule:
     ``merge_path``).
     """
     if adjacency.num_rows != adjacency.num_cols:
@@ -97,16 +90,7 @@ def pagerank(
     problem = SimpleNamespace(
         adjacency=adjacency, damping=damping, tol=tol, max_iter=max_iter
     )
-    return run_app(
-        "pagerank",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("pagerank", problem, ctx=ctx)
 
 
 def pagerank_driver(problem, rt: Runtime) -> AppResult:

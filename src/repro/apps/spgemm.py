@@ -23,11 +23,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     register_app,
@@ -157,12 +158,7 @@ def spgemm(
     a: CsrMatrix,
     b: CsrMatrix,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
+    ctx: ExecutionContext | None = None,
 ) -> AppResult:
     """Two-pass load-balanced SpGEMM on the simulated GPU.
 
@@ -175,16 +171,7 @@ def spgemm(
     """
     _check(a, b)
     problem = SimpleNamespace(a=a, b=b)
-    return run_app(
-        "spgemm",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("spgemm", problem, ctx=ctx)
 
 
 def spgemm_driver(problem, rt: Runtime) -> AppResult:

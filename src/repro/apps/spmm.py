@@ -13,11 +13,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     input_matrix,
@@ -97,31 +98,16 @@ def spmm(
     matrix: CsrMatrix,
     b: np.ndarray,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
+    ctx: ExecutionContext | None = None,
 ) -> AppResult:
     """Load-balanced SpMM on the simulated GPU.
 
     ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling.
+    (:class:`~repro.engine.context.ExecutionContext`).
     """
     b = _check_b(matrix, b)
     problem = SimpleNamespace(matrix=matrix, b=b)
-    return run_app(
-        "spmm",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("spmm", problem, ctx=ctx)
 
 
 def spmm_driver(problem, rt: Runtime) -> AppResult:

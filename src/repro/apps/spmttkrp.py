@@ -18,11 +18,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     input_matrix,
@@ -113,34 +114,19 @@ def spmttkrp(
     b: np.ndarray,
     c: np.ndarray,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
+    ctx: ExecutionContext | None = None,
 ) -> AppResult:
     """Load-balanced MTTKRP on the simulated GPU.
 
-    ``schedule`` may be any registry name -- including ``nonzero_split``,
-    which reproduces F-COO's equal-nonzeros-per-thread behaviour as a
-    *schedule* instead of a storage format.  ``ctx`` is the single
-    execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling.
+    ``ctx`` is the single execution-selection argument
+    (:class:`~repro.engine.context.ExecutionContext`).  Its policy may
+    name any registered schedule -- including ``nonzero_split``, which
+    reproduces F-COO's equal-nonzeros-per-thread behaviour as a
+    *schedule* instead of a storage format.
     """
     b, c = _check_factors(tensor, b, c)
     problem = SimpleNamespace(tensor=tensor, b=b, c=c)
-    return run_app(
-        "spmttkrp",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("spmttkrp", problem, ctx=ctx)
 
 
 def spmttkrp_driver(problem, rt: Runtime) -> AppResult:

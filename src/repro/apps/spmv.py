@@ -15,11 +15,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     input_vector,
@@ -27,7 +27,6 @@ from ..engine import (
     register_jit_warmup,
     run_app,
 )
-from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
 from .common import AppResult, check_dense_vector, spmv_costs, tile_charges
 
@@ -79,13 +78,8 @@ def spmv(
     matrix: CsrMatrix,
     x: np.ndarray,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
+    ctx: ExecutionContext | None = None,
     locality: bool = False,
-    **schedule_options,
 ) -> AppResult:
     """Load-balanced SpMV on the simulated GPU.
 
@@ -93,17 +87,13 @@ def spmv(
     ----------
     ctx:
         An :class:`~repro.engine.context.ExecutionContext` -- the single
-        execution-selection argument (engine, device spec, schedule
-        policy, launch override).  The remaining selection kwargs are the
-        deprecated pre-context spelling; passing both is an error.
-    schedule:
-        A registered schedule name, ``"heuristic"`` (Section 6.2 selector),
+        execution-selection argument: the engine (``"vector"`` corpus
+        scale, ``"simt"`` thread-by-thread ground truth, ``"multi_gpu"``
+        device partitioning; see :func:`repro.engine.available_engines`),
+        the device spec, the launch override and the schedule policy (a
+        registered schedule name, ``"heuristic"`` (Section 6.2 selector),
         ``"oracle_best"``, or a pre-built
-        :class:`~repro.core.schedule.Schedule` (default: ``merge_path``).
-    engine:
-        A registered engine name (``"vector"`` corpus scale, ``"simt"``
-        thread-by-thread ground truth, ``"multi_gpu"`` device
-        partitioning; see :func:`repro.engine.available_engines`).
+        :class:`~repro.core.schedule.Schedule`; default ``merge_path``).
     locality:
         Enable the future-work cache model for the x-vector gathers
         (:mod:`repro.gpusim.cache`); off by default to match the paper's
@@ -111,16 +101,7 @@ def spmv(
     """
     x = check_dense_vector(x, matrix.num_cols)
     problem = SimpleNamespace(matrix=matrix, x=x, locality=locality)
-    return run_app(
-        "spmv",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("spmv", problem, ctx=ctx)
 
 
 def spmv_driver(problem, rt: Runtime) -> AppResult:

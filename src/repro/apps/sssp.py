@@ -14,17 +14,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     register_app,
     register_jit_warmup,
     run_app,
 )
-from ..gpusim.arch import GpuSpec
 from ..sparse.graph import CsrGraph
 from .common import AppResult
 from .traversal import graph_sweep_problem, run_frontier_loop
@@ -113,13 +112,8 @@ def sssp(
     graph: CsrGraph,
     source: int,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
+    ctx: ExecutionContext | None = None,
     max_iterations: int | None = None,
-    **schedule_options,
 ) -> AppResult:
     """Load-balanced SSSP on the simulated GPU.
 
@@ -127,23 +121,13 @@ def sssp(
     stats compose every frontier launch, one load-balanced kernel per
     iteration (Listing 5's outer loop).  ``ctx`` is the single
     execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling (default schedule:
+    (:class:`~repro.engine.context.ExecutionContext`; default schedule:
     ``group_mapped``).
     """
     problem = SimpleNamespace(
         graph=graph, source=source, max_iterations=max_iterations
     )
-    return run_app(
-        "sssp",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("sssp", problem, ctx=ctx)
 
 
 def sssp_driver(problem, rt: Runtime) -> AppResult:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import Runtime
-from ..gpusim.arch import GpuSpec, V100
+from ..gpusim.arch import GpuSpec
 from ..gpusim.cost_model import KernelStats
 from ..sparse.graph import CsrGraph
 from .common import tile_charges
@@ -104,12 +104,8 @@ def run_frontier_loop(
     *,
     relax_edge=None,
     make_compiled=None,
-    rt: Runtime | None = None,
-    schedule: str | Schedule = "group_mapped",
-    spec: GpuSpec = V100,
-    launch: LaunchParams | None = None,
+    rt: Runtime,
     max_iterations: int | None = None,
-    **schedule_options,
 ):
     """Generic level-synchronous frontier loop.
 
@@ -131,19 +127,10 @@ def run_frontier_loop(
     over a fresh edge expansion.  Kernels are labelled ``"advance"`` for
     per-kernel engine overrides.
 
-    ``rt`` carries the engine/schedule/device selection; when omitted, a
-    vector-engine runtime is built from the legacy keyword arguments.
+    ``rt`` carries the engine/schedule/device selection.
 
     Returns ``(iterations, total_stats)``.
     """
-    if rt is None:
-        rt = Runtime(
-            "vector",
-            spec=spec,
-            schedule=schedule,
-            launch=launch,
-            schedule_options=schedule_options,
-        )
     if not 0 <= source < graph.num_vertices:
         raise ValueError(f"source {source} out of range")
     csr = graph.csr

@@ -12,11 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
     CompiledKernel,
+    ExecutionContext,
     Runtime,
     declare_kernel_effects,
     register_app,
@@ -168,34 +169,19 @@ def _intersection_costs(spec: GpuSpec, mean_degree: float) -> WorkCosts:
 def triangle_count(
     adjacency: CsrMatrix,
     *,
-    ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
+    ctx: ExecutionContext | None = None,
 ) -> AppResult:
     """Load-balanced triangle count of an (interpreted-as-)undirected graph.
 
     The input is symmetrized and binarized internally; self-loops are
     dropped.  Defaults to the LRB schedule per the related work's usage.
     ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling.
+    (:class:`~repro.engine.context.ExecutionContext`).
     """
     if adjacency.num_rows != adjacency.num_cols:
         raise ValueError("triangle counting requires a square adjacency")
     problem = SimpleNamespace(adjacency=adjacency)
-    return run_app(
-        "triangle_count",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("triangle_count", problem, ctx=ctx)
 
 
 def triangle_count_driver(problem, rt: Runtime) -> AppResult:

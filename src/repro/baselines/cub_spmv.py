@@ -13,8 +13,9 @@ simulator:
   load-balancing overhead (the one regime where CUB beats the framework
   in Figure 2).
 
-Figure 2 compares this against ``repro.apps.spmv(schedule="merge_path")``
-on identical work; the measured delta is the abstraction's overhead.
+Figure 2 compares this against ``repro.apps.spmv`` under the
+``merge_path`` schedule on identical work; the measured delta is the
+abstraction's overhead.
 """
 
 from __future__ import annotations

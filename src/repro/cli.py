@@ -34,22 +34,20 @@ The ``sweep`` command is generic over the application registry
 (``--app``, default ``spmv``) and exposes the harness's performance
 knobs:
 
-* ``--executor {serial,thread,process}`` -- fan independent cells out
-  over a thread pool, or shard by dataset over a process pool (each
-  worker builds the problem/oracle once per dataset and runs every
-  kernel of that cell, dodging the GIL for pure-Python sections; CSR
-  payloads travel through shared memory, small shards are batched);
+* ``--executor {serial,process}`` -- run cells in-process (the
+  default), or shard by dataset over a process pool (each worker builds
+  the problem/oracle once per dataset and runs every kernel of that
+  cell, dodging the GIL for pure-Python sections; CSR payloads travel
+  through shared memory, small shards are batched);
 * ``--keep-pool`` -- route the sweep through the process-wide persistent
   worker pool so repeated invocations in one process reuse warm workers;
 * ``--transport {auto,shm,pickle}`` -- how dataset payloads reach
   process-pool workers (shared-memory array bundles vs pickling);
-* ``--workers N`` -- pool width for either executor;
-* ``--plan-cache-dir DIR`` -- persist the engine's plan cache on disk
-  (one file per plan) so repeated sweeps of the same grid (and every
-  process-pool worker) start warm instead of re-planning identical
-  launches;
-* ``--plan-store FILE`` -- same persistence as a single append-only
-  journal file (the corpus-scale layout: one open instead of thousands).
+* ``--workers N`` -- pool width of the process executor;
+* ``--plan-store FILE`` -- persist the engine's plan cache in one
+  append-only journal file so repeated sweeps of the same grid (and
+  every process-pool worker) start warm instead of re-planning
+  identical launches.
 
 ``serve`` runs the long-lived multi-tenant sweep daemon
 (:mod:`repro.service`) over one persistent warm executor; ``submit``
@@ -160,16 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", default="V100")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="pool width for independent cells/shards")
-    p_sweep.add_argument("--executor", default="thread",
-                         choices=["serial", "thread", "process"],
-                         help="fan-out strategy: thread pool over cells or "
+    p_sweep.add_argument("--executor", default="serial",
+                         choices=["serial", "process"],
+                         help="fan-out strategy: in-process loop or "
                               "process pool over per-dataset shards")
-    p_sweep.add_argument("--plan-cache-dir", type=Path, default=None,
-                         help="directory for the persistent plan cache "
-                              "(warm-starts repeated sweeps and workers)")
     p_sweep.add_argument("--plan-store", type=Path, default=None,
-                         help="single-file journaled plan store (the "
-                              "corpus-scale alternative to --plan-cache-dir)")
+                         help="single-file journaled plan store "
+                              "(warm-starts repeated sweeps and workers)")
     p_sweep.add_argument("--keep-pool", action="store_true",
                          help="with --executor process: reuse the "
                               "process-wide persistent worker pool instead "
@@ -388,16 +383,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    if args.plan_cache_dir is not None and args.plan_store is not None:
-        print("--plan-cache-dir and --plan-store are mutually exclusive",
-              file=sys.stderr)
-        return 2
     if args.keep_pool and args.executor != "process":
         print("--keep-pool requires --executor process", file=sys.stderr)
         return 2
     if args.transport != "auto" and args.executor != "process":
         print("--transport requires --executor process (dataset transport "
               "only applies to process-pool sweeps)", file=sys.stderr)
+        return 2
+    if args.workers is not None and args.workers > 1 and args.executor != "process":
+        print("--workers above 1 requires --executor process", file=sys.stderr)
         return 2
     rows_jsonl_fh = None
     if args.rows_jsonl is not None:
@@ -415,9 +409,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine=args.engine,
         spec=get_spec(args.spec),
         gpus=args.gpus,
-        plan_cache_dir=(
-            None if args.plan_cache_dir is None else str(args.plan_cache_dir)
-        ),
         plan_store=None if args.plan_store is None else str(args.plan_store),
     )
     try:
@@ -764,8 +755,7 @@ def _check_plan_store_path(path: Path) -> str | None:
     if not path.exists():
         return f"no plan store at {path}"
     if path.is_dir():
-        return (f"{path} is a directory, not a plan-store journal "
-                f"(did you mean --plan-cache-dir?)")
+        return f"{path} is a directory, not a plan-store journal"
     with open(path, "rb") as fh:
         head = fh.read(len(STORE_MAGIC) + 4)
     if (len(head) < len(STORE_MAGIC) + 4

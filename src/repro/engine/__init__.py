@@ -12,9 +12,9 @@ level:
 * **Context** (:mod:`.context`) -- :class:`ExecutionContext`, the one
   frozen, picklable execution-selection object: engine name, device
   spec, :class:`~repro.core.policy.SchedulePolicy`, launch override,
-  schedule options, plan-cache directory and device count.  Every public
-  entry point accepts ``ctx=``; the legacy loose kwargs are a shim over
-  :meth:`ExecutionContext.from_kwargs`.
+  schedule options, plan-store path and device count.  Every public
+  entry point takes it as ``ctx=``, its only execution-selection
+  argument.
 * **Dispatch** (:mod:`.dispatch`) -- pluggable engines behind a registry
   (:func:`register_engine` / :func:`available_engines` /
   :func:`get_engine`), mirroring the schedule registry.
@@ -29,12 +29,10 @@ level:
 * **Plan cache** (:mod:`.plan_cache`) -- planning is pure, so the vector
   engine memoizes :meth:`Schedule.plan` keyed by (schedule, launch
   geometry, work content, costs, device): corpus sweeps stop re-planning
-  identical launches.  An optional disk layer persists plans across
-  processes in one of two layouts: one file per plan (``plan_cache_dir``
-  / ``REPRO_PLAN_CACHE_DIR``) or the corpus-scale append-only
+  identical launches.  An optional disk layer, the append-only
   single-file journal of :mod:`.plan_store` (``plan_store`` /
-  ``REPRO_PLAN_STORE``), so repeated figure benches and process-pool
-  sweep workers start warm.
+  ``REPRO_PLAN_STORE``), persists plans across processes, so repeated
+  figure benches and process-pool sweep workers start warm.
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
   persistent process pool behind ``executor="process"`` sweeps: warm
   workers survive across ``run_suite`` calls (``keep_pool=True`` shares
@@ -95,7 +93,6 @@ from .compiled import (
 from .multi_gpu import MultiGpuEngine
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .plan_cache import (
-    CACHE_DIR_ENV,
     CACHE_FORMAT_VERSION,
     PLAN_STORE_ENV,
     PlanCache,
@@ -138,10 +135,6 @@ from .registry import (
 )
 from .seeding import DEFAULT_SEED, input_matrix, input_vector
 
-#: Deprecated alias for :func:`available_engines` -- the engine set is a
-#: registry now, not a hard-coded tuple.
-ENGINES = available_engines()
-
 __all__ = [
     "SchedulePolicy",
     "FixedPolicy",
@@ -150,7 +143,6 @@ __all__ = [
     "OracleBestPolicy",
     "PolicyError",
     "as_policy",
-    "ENGINES",
     "Engine",
     "EngineError",
     "UnknownEngineError",
@@ -180,7 +172,6 @@ __all__ = [
     "resolve_schedule",
     "ExecutionContext",
     "DEFAULT_CONTEXT",
-    "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
     "PLAN_STORE_ENV",
     "PLAN_STORE_COMPACT_RATIO_ENV",

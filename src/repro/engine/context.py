@@ -13,17 +13,14 @@ selects *how* a declared application runs --
   (:class:`~repro.core.policy.SchedulePolicy`: fixed, heuristic,
   per-kernel, oracle-best),
 * launch-geometry overrides and schedule options,
-* the persistent **plan-cache** directory.
+* the persistent **plan store** path.
 
 Every public app function, :func:`~repro.engine.registry.run_app`, the
-harness's ``run_suite`` and the CLI accept ``ctx=ExecutionContext(...)``
-as the one execution-selection argument; the old loose kwargs
-(``engine=``, ``schedule=``, ``spec=``, ``launch=``,
-``**schedule_options``) remain as a deprecation shim routed through
-:meth:`ExecutionContext.from_kwargs`.  Because the context is picklable,
-it is also what crosses the process-pool boundary in corpus sweeps --
-workers reconstruct the exact selection from one object instead of
-re-threading five kwargs.
+harness's ``run_suite`` and ``run_cell`` and the CLI take
+``ctx=ExecutionContext(...)`` as their one execution-selection argument;
+there is no second, loose-keyword spelling.  Because the context is
+picklable, it is also what crosses the process-pool boundary in corpus
+sweeps -- workers reconstruct the exact selection from one object.
 """
 
 from __future__ import annotations
@@ -37,11 +34,6 @@ from ..gpusim.arch import GpuSpec, V100
 from .dispatch import Engine, Runtime, get_engine
 
 __all__ = ["ExecutionContext", "DEFAULT_CONTEXT"]
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in the
-#: legacy-kwarg shim.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class ExecutionContext:
@@ -66,15 +58,11 @@ class ExecutionContext:
         Extra schedule construction options, stored as a sorted tuple of
         ``(name, value)`` pairs so the context stays hashable; a mapping
         is accepted and normalized.
-    plan_cache_dir:
-        Directory for the persistent plan cache's per-file layout
-        (``None`` = in-memory only).  Sweeps configure the process-global
-        cache from this.
     plan_store:
         Path of the single-file journaled plan store
-        (:mod:`repro.engine.plan_store`) -- the corpus-scale alternative
-        to ``plan_cache_dir`` (one file for all plans instead of one per
-        plan).  Mutually exclusive with ``plan_cache_dir``.
+        (:mod:`repro.engine.plan_store`) sweeps persist plans to
+        (``None`` = in-memory only).  Sweeps attach the process-global
+        cache to it for their duration.
     gpus:
         Device count for multi-device engines.  ``gpus > 1`` with the
         default engine auto-selects ``"multi_gpu"`` -- scaling out is a
@@ -98,7 +86,6 @@ class ExecutionContext:
     policy: SchedulePolicy | None = None
     launch: LaunchParams | None = None
     schedule_options: tuple = ()
-    plan_cache_dir: str | None = None
     plan_store: str | None = None
     gpus: int = 1
     partition: str = "merge_path"
@@ -117,12 +104,8 @@ class ExecutionContext:
             )
         if self.policy is not None and not isinstance(self.policy, SchedulePolicy):
             object.__setattr__(self, "policy", as_policy(self.policy))
-        if self.plan_cache_dir is not None:
-            object.__setattr__(self, "plan_cache_dir", str(self.plan_cache_dir))
         if self.plan_store is not None:
             object.__setattr__(self, "plan_store", str(self.plan_store))
-        if self.plan_cache_dir is not None and self.plan_store is not None:
-            raise ValueError("pass either plan_cache_dir= or plan_store=, not both")
         if self.gpus < 1:
             raise ValueError("gpus must be >= 1")
         if self.gpus > 1:
@@ -138,69 +121,6 @@ class ExecutionContext:
                     f"the default 'vector', which auto-selects it); got "
                     f"engine={self.engine_name()!r}"
                 )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_kwargs(
-        cls,
-        *,
-        ctx: "ExecutionContext | None" = None,
-        engine=_UNSET,
-        schedule=_UNSET,
-        spec=_UNSET,
-        launch=_UNSET,
-        policy=_UNSET,
-        gpus=_UNSET,
-        partition=_UNSET,
-        plan_cache_dir=_UNSET,
-        plan_store=_UNSET,
-        **schedule_options,
-    ) -> "ExecutionContext":
-        """Deprecation shim: build a context from the legacy loose kwargs.
-
-        The pre-context call sites threaded ``engine=``/``schedule=``/
-        ``spec=``/``launch=``/``**schedule_options`` through every app
-        function; this translates them.  Passing ``ctx`` *and* any legacy
-        selection kwarg is rejected -- one source of truth per call.
-        """
-        legacy = {
-            name: value
-            for name, value in [
-                ("engine", engine), ("schedule", schedule), ("spec", spec),
-                ("launch", launch), ("policy", policy), ("gpus", gpus),
-                ("partition", partition), ("plan_cache_dir", plan_cache_dir),
-                ("plan_store", plan_store),
-            ]
-            if value is not _UNSET and value is not None
-        }
-        if ctx is not None:
-            if legacy or schedule_options:
-                conflicting = sorted(legacy) + sorted(schedule_options)
-                raise ValueError(
-                    f"pass either ctx= or legacy selection kwargs, not both "
-                    f"(got ctx plus {conflicting})"
-                )
-            return ctx
-        if "schedule" in legacy and "policy" in legacy:
-            raise ValueError("pass either schedule= or policy=, not both")
-        selection = legacy.pop("policy", None)
-        if selection is None:
-            selection = legacy.pop("schedule", None)
-        else:
-            legacy.pop("schedule", None)
-        return cls(
-            engine=legacy.get("engine", "vector"),
-            spec=legacy.get("spec", V100),
-            policy=as_policy(selection) if selection is not None else None,
-            launch=legacy.get("launch"),
-            schedule_options=tuple(sorted(schedule_options.items())),
-            plan_cache_dir=legacy.get("plan_cache_dir"),
-            plan_store=legacy.get("plan_store"),
-            gpus=legacy.get("gpus", 1),
-            partition=legacy.get("partition", "merge_path"),
-        )
 
     # ------------------------------------------------------------------
     # Derivation helpers (the context is immutable; edits make copies)

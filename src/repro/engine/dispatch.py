@@ -22,8 +22,8 @@ sites.
 
 :class:`VectorEngine` runs ``compute()`` and prices the launch through
 the analytic planner (memoized via :mod:`repro.engine.plan_cache`, whose
-optional disk layer persists plans across processes -- see the
-``plan_cache_dir`` knob on the harness and CLI);
+optional plan store persists plans across processes -- see the
+``plan_store`` field of :class:`~repro.engine.context.ExecutionContext`);
 :class:`SimtEngine` interprets ``kernel()`` thread-by-thread and folds
 the measured charges with the same cost model, so the two engines are
 cross-validated by construction.  Applications never branch on an engine
@@ -290,11 +290,12 @@ class Runtime:
     multi-pass SpGEMM) call :meth:`run_launch` once per kernel;
     single-kernel applications call it once.
 
-    The legacy ``schedule=`` argument (a name, ``"heuristic"``, or a
-    pre-built instance) is coerced into a policy via
-    :func:`~repro.core.policy.as_policy`; new code should construct an
-    :class:`~repro.engine.context.ExecutionContext` and call
-    :meth:`~repro.engine.context.ExecutionContext.runtime` instead.
+    ``policy`` accepts anything :func:`~repro.core.policy.as_policy`
+    coerces (a policy, a schedule name, ``"heuristic"``,
+    ``"oracle_best"`` or a pre-built instance).  Callers normally get a
+    runtime from
+    :meth:`~repro.engine.context.ExecutionContext.runtime` instead of
+    constructing one.
     """
 
     def __init__(
@@ -302,17 +303,13 @@ class Runtime:
         engine: str | Engine = "vector",
         *,
         spec: GpuSpec = V100,
-        schedule: str | Schedule | None = None,
         launch: LaunchParams | None = None,
         schedule_options: dict | None = None,
-        policy: SchedulePolicy | None = None,
+        policy: SchedulePolicy | str | Schedule | None = None,
         engines: dict | None = None,
     ):
-        if policy is not None and schedule is not None:
-            raise ValueError("pass either schedule= or policy=, not both")
         self.engine = get_engine(engine)
         self.spec = spec
-        self.schedule = schedule
         self.launch = launch
         self.schedule_options = dict(schedule_options or {})
         # Per-kernel engine overrides, the engine-side mirror of
@@ -323,16 +320,10 @@ class Runtime:
         self.engines = {
             label: get_engine(value) for label, value in (engines or {}).items()
         }
-        if policy is None and schedule is not None:
-            policy = as_policy(schedule)
-        self.policy = policy
+        self.policy = as_policy(policy) if policy is not None else None
 
     def schedule_label(self) -> str:
         """Printable name of this runtime's schedule selection."""
-        if isinstance(self.schedule, Schedule):
-            return self.schedule.name
-        if isinstance(self.schedule, str):
-            return self.schedule
         return self.policy.describe() if self.policy is not None else "?"
 
     def _policy_planner(self):

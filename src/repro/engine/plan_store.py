@@ -1,12 +1,9 @@
 """Append-only single-file plan journal with an in-memory index.
 
-The per-file disk layer of :mod:`repro.engine.plan_cache` writes one
-pickle per planned launch.  That is fine for a smoke grid, but
-corpus-squared workloads (full scale x every schedule x every launch
-variant) produce tens of thousands of tiny files -- every warm start
-then pays one ``open``/``stat`` per plan, and the cache directory
-becomes the slowest thing about a "cached" sweep.  This module is the
-single-file replacement: one journal holds every plan, opened once.
+The disk layer of :mod:`repro.engine.plan_cache`: one journal holds
+every planned launch and is opened once per process, so a corpus-squared
+workload (full scale x every schedule x every launch variant) warm-starts
+with one sequential scan instead of one ``open`` per plan.
 
 The on-disk framing (magic/versioned header, ``<II`` len+crc32 records,
 single ``O_APPEND`` write per record, truncated-tail and corrupt-record
@@ -21,7 +18,7 @@ leave dead records behind; :meth:`PlanStore.compact` rewrites the
 journal with only the live ones (atomic ``os.replace``), and ``put``
 auto-compacts past a dead-record ratio.
 
-Failure tolerance mirrors the per-file layer's contract -- the store can
+Failure tolerance follows the plan cache's contract -- the store can
 only ever skip recomputation, never change behaviour: damaged tails and
 corrupt records read as misses (see :mod:`repro.engine.journal`), and
 :meth:`PlanStore.get` re-verifies the CRC *and* the stored key on every

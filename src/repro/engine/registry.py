@@ -11,7 +11,8 @@ modules.
 
 :func:`run_app` is the single entry point every public app function
 (``spmv(...)``, ``bfs(...)``, ...) delegates to: it builds the Runtime
-from the caller's engine/schedule/spec selection and invokes the driver.
+from the caller's :class:`~repro.engine.context.ExecutionContext` and
+invokes the driver.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
-from ..gpusim.arch import GpuSpec
-from .dispatch import Engine, Runtime
+from .dispatch import Runtime
 
 __all__ = [
     "AppSpec",
@@ -130,39 +129,20 @@ def get_app(name: str) -> AppSpec:
 
 
 def run_app(
-    app: str | AppSpec,
-    problem: Any,
-    *,
-    ctx: "ExecutionContext | None" = None,
-    schedule: str | Schedule | None = None,
-    engine: str | Engine | None = None,
-    spec: GpuSpec | None = None,
-    launch: LaunchParams | None = None,
-    policy=None,
-    **schedule_options,
+    app: str | AppSpec, problem: Any, *, ctx: "ExecutionContext | None" = None
 ):
     """Run one application through the engine dispatcher.
 
     ``ctx`` is the single execution-selection argument: an
     :class:`~repro.engine.context.ExecutionContext` bundling engine,
-    device spec, schedule policy, launch override and schedule options.
-    The loose kwargs (``engine=``, ``schedule=``, ``spec=``, ``launch=``,
-    ``**schedule_options``) are the deprecated pre-context spelling,
-    still accepted via :meth:`ExecutionContext.from_kwargs`; passing both
-    is an error.  A context (or ``schedule``/``policy``) without a
-    schedule selection falls back to the app's registered default.
+    device spec, schedule policy, launch override and schedule options
+    (``None`` = :data:`~repro.engine.context.DEFAULT_CONTEXT`).  A
+    context without a schedule policy falls back to the app's registered
+    default.
     """
-    from .context import ExecutionContext
+    from .context import DEFAULT_CONTEXT
 
     app_spec = app if isinstance(app, AppSpec) else get_app(app)
-    context = ExecutionContext.from_kwargs(
-        ctx=ctx,
-        engine=engine,
-        schedule=schedule,
-        spec=spec,
-        launch=launch,
-        policy=policy,
-        **schedule_options,
-    )
+    context = DEFAULT_CONTEXT if ctx is None else ctx
     runtime = context.runtime(default_schedule=app_spec.default_schedule)
     return app_spec.driver(problem, runtime)

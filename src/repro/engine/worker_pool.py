@@ -91,7 +91,6 @@ __all__ = [
     "SweepExecutor",
     "ArrayBundleHandle",
     "ArraySegment",
-    "SharedDatasetHandle",
     "SharedPayloadHandle",
     "ShmCodec",
     "register_shm_codec",
@@ -224,11 +223,6 @@ class ArrayBundleHandle:
         )
 
 
-#: Backward-compatible alias: PR 4's CSR-only handle type, now the
-#: generic bundle.
-SharedDatasetHandle = ArrayBundleHandle
-
-
 @dataclass(frozen=True)
 class ShmCodec:
     """How one payload type travels through an array-bundle block.
@@ -325,7 +319,7 @@ class _PublishedDataset:
     sweeps of the same corpus publish each dataset exactly once.
     """
 
-    def __init__(self, handle: SharedDatasetHandle, shm) -> None:
+    def __init__(self, handle: ArrayBundleHandle, shm) -> None:
         self.handle = handle
         self.shm = shm
         self.pins = 0
@@ -745,8 +739,8 @@ def home_slot(placement_key: Any, width: int) -> int:
 # ----------------------------------------------------------------------
 # Pool worker entry points (module-level: picklable by reference)
 # ----------------------------------------------------------------------
-def _worker_warmup(cache_dir: str | None, store_path: str | None) -> None:
-    """Pool initializer: pay the import + cache-attach cost exactly once."""
+def _worker_warmup(store_path: str | None) -> None:
+    """Pool initializer: pay the import + plan-store attach cost once."""
     inject("worker.start")
     import numpy  # noqa: F401  (pre-faulted into the worker)
 
@@ -755,9 +749,7 @@ def _worker_warmup(cache_dir: str | None, store_path: str | None) -> None:
     from .plan_cache import configure_global_plan_cache
 
     if store_path is not None:
-        configure_global_plan_cache(store_path=store_path)
-    elif cache_dir is not None:
-        configure_global_plan_cache(cache_dir=cache_dir)
+        configure_global_plan_cache(store_path)
     # Pay the JIT cost here, not in the first timed launch: the apps
     # import above registered every kernel's warmup, and with numba
     # absent this is a no-op.
@@ -773,7 +765,7 @@ _ATTACHED: OrderedDict[str, tuple] = OrderedDict()
 _ATTACHED_CAP = 128
 
 
-def _attached_dataset(handle: SharedDatasetHandle) -> Dataset:
+def _attached_dataset(handle: ArrayBundleHandle) -> Dataset:
     """Reattach (or reuse) one shm-backed dataset in this worker."""
     cached = _ATTACHED.get(handle.shm_name)
     if cached is not None:
@@ -1007,7 +999,7 @@ def _run_batch(items: tuple) -> tuple[list, list]:
     :class:`_AttachFailure` in its row slot; the rest of the batch still
     runs.
     """
-    from ..evaluation.harness import _run_shard
+    from ..evaluation.harness import _attach_plan_store, _run_shard
 
     inject("worker.batch")
     out = []
@@ -1028,6 +1020,9 @@ def _run_batch(items: tuple) -> tuple[list, list]:
                         error=f"{type(exc).__name__}: {exc}",
                     ))
                     continue
+            # Warm-start from the shard's plan store (and persist what it
+            # plans for the next process).
+            _attach_plan_store(task.ctx)
             rows = _run_shard(
                 task,
                 dataset_key=item.dataset_key,
@@ -1239,10 +1234,7 @@ class SweepExecutor:
             pool=ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_worker_warmup,
-                initargs=(
-                    str(cache.cache_dir) if cache.cache_dir else None,
-                    str(cache.store_path) if cache.store_path else None,
-                ),
+                initargs=(str(cache.store_path) if cache.store_path else None,),
             ),
         )
 
@@ -1884,11 +1876,7 @@ class SweepExecutor:
         synthetic error rows -- by this point the shard has already
         cost a worker twice, so surfacing a typed row beats raising.
         """
-        from .plan_cache import global_plan_cache
-
         self.degraded_shards += 1
-        cache = global_plan_cache()
-        prev_dir, prev_store = cache.cache_dir, cache.store_path
         outcome: dict = {}
 
         def _runner() -> None:
@@ -1907,7 +1895,6 @@ class SweepExecutor:
             self._batch_allowance((item,)) if self.batch_timeout > 0 else None
         )
         thread.join(timeout)
-        self._restore_plan_persistence(prev_dir, prev_store)
         if thread.is_alive():
             self.batch_timeouts += 1
             results[item.index] = self._error_rows(
@@ -1936,23 +1923,6 @@ class SweepExecutor:
             "mode": "degraded",
             "pid": os.getpid(),
         }
-
-    @staticmethod
-    def _restore_plan_persistence(cache_dir, store_path) -> None:
-        """Reattach the parent's plan persistence after a degraded run
-        (the shard's ``_run_shard`` call reconfigures the process-global
-        cache for *its* context; the parent must get its own back)."""
-        from .plan_cache import configure_global_plan_cache
-
-        try:
-            if store_path is not None:
-                configure_global_plan_cache(store_path=store_path)
-            elif cache_dir is not None:
-                configure_global_plan_cache(cache_dir)
-            else:
-                configure_global_plan_cache(None)
-        except Exception:  # pragma: no cover - restoration is best-effort
-            pass
 
     def _error_rows(self, task, item, status: str, message: str) -> list:
         """Synthetic per-kernel rows for a shard that exhausted every

@@ -13,18 +13,16 @@ of a non-default app prepend an ``app`` column.
 
 Performance knobs
 -----------------
-The sweep hot path is tunable along three independent axes; all three
-are exposed by the CLI (``python -m repro sweep ...``) as well:
+The sweep hot path is tunable along these axes; all of them are exposed
+by the CLI (``python -m repro sweep ...``) as well:
 
-``executor`` (CLI ``--executor {serial,thread,process}``)
-    How independent cells fan out.  ``thread`` shares one address space
-    (cheap, but pure-Python sections contend on the GIL); ``process``
-    runs dataset shards on a worker pool -- each shard builds its
-    problem and oracle exactly once and runs every kernel of the cell
-    against them, small shards are *batched* into one pickle crossing,
-    and CSR payloads travel through shared memory instead of the pickle
-    stream (:mod:`repro.engine.worker_pool`).  ``serial`` forces the
-    in-process loop.
+``executor`` (CLI ``--executor {serial,process}``)
+    How independent cells fan out.  ``serial`` (the default) runs the
+    in-process loop; ``process`` runs dataset shards on a worker pool --
+    each shard builds its problem and oracle exactly once and runs every
+    kernel of the cell against them, small shards are *batched* into
+    one pickle crossing, and CSR payloads travel through shared memory
+    instead of the pickle stream (:mod:`repro.engine.worker_pool`).
 ``keep_pool`` / ``pool`` (CLI ``--keep-pool``)
     Process-pool persistence.  By default each ``run_suite`` call spawns
     and tears down its own pool; ``keep_pool=True`` routes the sweep
@@ -47,27 +45,24 @@ are exposed by the CLI (``python -m repro sweep ...``) as well:
     so steady-state sweeps skip both rebuilds; rows record the
     ``problem_cache`` outcome in ``meta``.
 ``max_workers`` (CLI ``--workers``)
-    Pool width for either executor.  ``None``/1 with
-    ``executor="thread"`` degrades to serial; ``process`` defaults to
-    ``os.cpu_count()`` capped by the number of dataset shards.
-``plan_cache_dir`` / ``plan_store`` (CLI ``--plan-cache-dir`` / ``--plan-store``)
-    Persistent plan storage (:mod:`repro.engine.plan_cache`).  Repeated
-    sweeps of the same grid -- and every process-pool worker -- start
-    warm: plans are keyed by content fingerprints and survive process
-    exit.  ``plan_cache_dir`` is the one-file-per-plan layout;
-    ``plan_store`` is the corpus-scale append-only single-file journal
-    (:mod:`repro.engine.plan_store`).  Workers inherit either knob
-    automatically.
+    Pool width of the ``process`` executor, which defaults to
+    ``os.cpu_count()`` capped by the number of dataset shards.  A width
+    above 1 with ``serial`` is rejected.
+``ctx.plan_store`` (CLI ``--plan-store``)
+    Persistent plan storage (:mod:`repro.engine.plan_store`): one
+    append-only journal file holding every plan.  Repeated sweeps of
+    the same grid -- and every process-pool worker -- start warm: plans
+    are keyed by content fingerprints and survive process exit.
+    Workers inherit the store automatically.
 
 Results are returned in deterministic (dataset, kernel) order regardless
-of executor or worker count, and row sets are identical across all three
+of executor or worker count, and row sets are identical across both
 executors for the same seed.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -75,23 +70,20 @@ from typing import Iterable, Sequence
 from ..core.policy import as_policy
 from ..core.schedule import available_schedules
 from ..engine import (
+    DEFAULT_CONTEXT,
     DEFAULT_SEED,
     ExecutionContext,
     configure_global_plan_cache,
     get_app,
     run_app,
 )
-from ..gpusim.arch import GpuSpec, V100
 from ..sparse.corpus import Dataset, build_corpus
 
 __all__ = [
     "SweepRow",
-    "SpmvRow",
     "run_cell",
     "expand_datasets",
     "run_suite",
-    "run_spmv_kernel",
-    "run_spmv_suite",
     "write_csv",
     "SPMV_KERNELS",
     "PAPER_FIELDS",
@@ -119,7 +111,7 @@ SPMV_KERNELS = (
 PAPER_FIELDS = ("kernel", "dataset", "rows", "cols", "nnzs", "elapsed")
 
 #: Fan-out strategies :func:`run_suite` understands.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -151,10 +143,6 @@ class SweepRow:
         if include_app:
             row = {"app": self.app, **row}
         return row
-
-
-#: Backward-compatible alias: the SpMV-era row type.
-SpmvRow = SweepRow
 
 
 def _build_problem(app_spec, app: str, dataset: Dataset, seed: int):
@@ -255,19 +243,16 @@ def run_cell(
     app: str,
     kernel: str,
     dataset: Dataset,
-    spec: GpuSpec | None = None,
     *,
-    ctx: ExecutionContext | None = None,
-    engine: str | None = None,
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     seed: int = DEFAULT_SEED,
     validate: bool = True,
 ) -> SweepRow:
     """Run one (app, kernel, dataset) cell and validate the result.
 
-    ``ctx`` is the single execution-selection argument; the loose
-    ``spec=``/``engine=`` kwargs are the deprecated pre-context spelling.
+    ``ctx`` is the execution selection; the kernel name supplies the
+    schedule policy.
     """
-    ctx = ExecutionContext.from_kwargs(ctx=ctx, engine=engine, spec=spec)
     app_spec = get_app(app)
     problem = _build_problem(app_spec, app, dataset, seed)
     expected = (
@@ -287,27 +272,15 @@ class _ShardTask:
     The worker rebuilds the (expensive) problem instance and oracle once
     and amortizes them over every kernel of the shard -- matrices cross
     the pickle boundary once per dataset, never once per cell.  The
-    execution selection crosses as one :class:`ExecutionContext` (``ctx``);
-    the ``spec``/``engine``/``plan_cache_dir`` fields are the deprecated
-    pre-context spelling, honoured when no context is given.
+    execution selection crosses as one :class:`ExecutionContext`.
     """
 
     app: str
     kernels: tuple
     dataset: Dataset
-    spec: GpuSpec = V100
-    engine: str = "vector"
     seed: int = DEFAULT_SEED
     validate: bool = True
-    plan_cache_dir: str | None = None
-    ctx: ExecutionContext | None = None
-
-    def context(self) -> ExecutionContext:
-        if self.ctx is not None:
-            return self.ctx
-        return ExecutionContext(
-            engine=self.engine, spec=self.spec, plan_cache_dir=self.plan_cache_dir
-        )
+    ctx: ExecutionContext = DEFAULT_CONTEXT
 
 
 def _run_shard(
@@ -342,19 +315,6 @@ def _run_shard(
         publish_payload,
     )
 
-    ctx = task.context()
-    if ctx.plan_store is not None:
-        # Warm-start the worker from the persistent plan store (and
-        # persist whatever it plans for the next process).
-        configure_global_plan_cache(store_path=ctx.plan_store)
-    elif ctx.plan_cache_dir is not None:
-        configure_global_plan_cache(ctx.plan_cache_dir)
-    else:
-        # No knob on this sweep: a *persistent* worker must not keep the
-        # previous sweep's (possibly temporary) target attached.  Fall
-        # back to the environment attachment -- the documented ambient
-        # configuration workers share with their parent -- or detach.
-        _restore_ambient_plan_persistence()
     app_spec = get_app(task.app)
     if dataset_key is None:
         dataset_key = dataset_content_key(task.dataset)
@@ -404,7 +364,7 @@ def _run_shard(
             task.dataset,
             problem,
             expected,
-            ctx,
+            task.ctx,
             task.validate,
             task.seed,
         )
@@ -419,6 +379,21 @@ def _run_shard(
     return rows
 
 
+def _attach_plan_store(ctx: ExecutionContext) -> None:
+    """Point a pool worker's process-global plan cache at a shard's store.
+
+    Called per shard on the worker side (never in the parent, whose
+    cache :func:`run_suite` manages).  Reattaching an unchanged target
+    is a no-op, so this is free on a warm worker.  A shard that names no
+    store falls back to the ambient target, so a *persistent* worker
+    never keeps the previous sweep's (possibly temporary) store attached.
+    """
+    if ctx.plan_store is not None:
+        configure_global_plan_cache(ctx.plan_store)
+    else:
+        _restore_ambient_plan_persistence()
+
+
 #: One warning per process when the ambient persistence target is broken
 #: (a typo'd env var must not silently degrade to no-persistence).
 _AMBIENT_RESTORE_WARNED = False
@@ -427,36 +402,29 @@ _AMBIENT_RESTORE_WARNED = False
 def _restore_ambient_plan_persistence() -> None:
     """Point the process-global plan cache back at the env-var target.
 
-    Reattaching an unchanged target is a no-op, so calling this per shard
-    is free; an unusable env path degrades to "no persistence", honouring
-    the disk layer's never-change-behaviour contract -- but warns once
-    per process, so a typo'd ``REPRO_PLAN_STORE`` is visible instead of
+    The target is ``REPRO_PLAN_STORE`` -- the documented ambient
+    configuration workers share with their parent -- or no store at all.
+    An unusable env path degrades to "no persistence", honouring the
+    disk layer's never-change-behaviour contract -- but warns once per
+    process, so a typo'd ``REPRO_PLAN_STORE`` is visible instead of
     silently dropping persistence.
     """
     import os
     import warnings
 
-    from ..engine import CACHE_DIR_ENV, PLAN_STORE_ENV
+    from ..engine import PLAN_STORE_ENV
 
     store_env = os.environ.get(PLAN_STORE_ENV) or None
-    dir_env = os.environ.get(CACHE_DIR_ENV) or None
     try:
-        if store_env is not None:
-            configure_global_plan_cache(store_path=store_env)
-        elif dir_env is not None:
-            configure_global_plan_cache(dir_env)
-        else:
-            configure_global_plan_cache(None)
+        configure_global_plan_cache(store_env)
     except Exception as exc:
         global _AMBIENT_RESTORE_WARNED
         if not _AMBIENT_RESTORE_WARNED:
             _AMBIENT_RESTORE_WARNED = True
-            target = store_env if store_env is not None else dir_env
-            env_name = PLAN_STORE_ENV if store_env is not None else CACHE_DIR_ENV
             warnings.warn(
-                f"ambient plan persistence target {target!r} (from "
-                f"{env_name}) is unusable ({exc!r}); continuing without "
-                f"plan persistence",
+                f"ambient plan persistence target {store_env!r} (from "
+                f"{PLAN_STORE_ENV}) is unusable ({exc!r}); continuing "
+                f"without plan persistence",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -503,17 +471,13 @@ def run_suite(
     *,
     app: str = "spmv",
     scale: str = "standard",
-    spec: GpuSpec | None = None,
     datasets: Iterable[Dataset] | None = None,
     limit: int | None = None,
-    engine: str | None = None,
     seed: int = DEFAULT_SEED,
     validate: bool = True,
     max_workers: int | None = None,
-    executor: str = "thread",
-    plan_cache_dir: str | Path | None = None,
-    plan_store: str | Path | None = None,
-    ctx: ExecutionContext | None = None,
+    executor: str = "serial",
+    ctx: ExecutionContext = DEFAULT_CONTEXT,
     keep_pool: bool = False,
     pool=None,
     transport: str = "auto",
@@ -521,28 +485,24 @@ def run_suite(
     """Run a kernel list over the corpus (the ``run.sh`` loop), generic.
 
     ``ctx`` is the single execution-selection argument (engine, device
-    spec, plan storage, device count); the per-cell kernel name supplies
-    the schedule policy.  The loose ``spec=``/``engine=``/
-    ``plan_cache_dir=``/``plan_store=`` kwargs are the deprecated
-    pre-context spelling; passing them alongside ``ctx`` is an error.
-    The context is what crosses the process-pool pickle boundary in
-    ``executor="process"`` sweeps.
+    spec, plan store, device count); the per-cell kernel name supplies
+    the schedule policy.  The context is what crosses the process-pool
+    pickle boundary in ``executor="process"`` sweeps.
 
     Datasets the app cannot accept (e.g. rectangular matrices for graph
     apps) are skipped.  Fan-out, pool persistence, dataset transport and
     plan persistence are controlled by the performance knobs documented
     in the module docstring (``executor`` / ``keep_pool`` / ``pool`` /
-    ``transport`` / ``max_workers`` / ``plan_cache_dir`` /
-    ``plan_store``); results keep the serial (dataset, kernel) order
-    under every configuration.
+    ``transport`` / ``max_workers`` / ``ctx.plan_store``); results keep
+    the serial (dataset, kernel) order under every configuration.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
     # Validate the transport up front for *every* executor: a bogus value
-    # must fail fast, not be silently ignored by serial/thread sweeps --
-    # and an explicit non-default transport on an executor that will
-    # never use it is a contradiction, not a no-op (the CLI rejects the
-    # same combination).
+    # must fail fast, not be silently ignored by serial sweeps -- and an
+    # explicit non-default transport, pool or width on an executor that
+    # will never use it is a contradiction, not a no-op (the CLI rejects
+    # the same combinations).
     from ..engine.worker_pool import TRANSPORTS
 
     if transport not in TRANSPORTS:
@@ -559,15 +519,13 @@ def run_suite(
             "keep_pool/pool require executor='process' (persistent pools "
             "only make sense for process fan-out)"
         )
+    if max_workers is not None and max_workers > 1 and executor != "process":
+        raise ValueError(
+            f"max_workers={max_workers} requires executor='process' (a "
+            f"serial sweep runs on one worker)"
+        )
     if keep_pool and pool is not None:
         raise ValueError("pass either keep_pool=True or pool=, not both")
-    ctx = ExecutionContext.from_kwargs(
-        ctx=ctx,
-        engine=engine,
-        spec=spec,
-        plan_cache_dir=None if plan_cache_dir is None else str(plan_cache_dir),
-        plan_store=None if plan_store is None else str(plan_store),
-    )
     # Fail fast on unknown engines for *every* executor: a typo'd engine
     # name must raise here, in the caller's process, not as a late
     # ``Runtime`` construction error inside a worker (or never at all
@@ -581,32 +539,25 @@ def run_suite(
             ensure_known_engine(_eng)
     app_spec = get_app(app)
     ds = expand_datasets(app, scale=scale, limit=limit, datasets=datasets)
-    if ctx.plan_cache_dir is None and ctx.plan_store is None:
+    if ctx.plan_store is None:
         return _run_suite_prepared(
             kernels, app, app_spec, ds, ctx, seed, validate,
             max_workers, executor, keep_pool, pool, transport,
         )
-    # Attach the persistent layer for the duration of the sweep only:
-    # callers must not find the process-global cache silently re-pointed
-    # at a (possibly temporary) target after run_suite returns.
+    # Attach the plan store for the duration of the sweep only: callers
+    # must not find the process-global cache silently re-pointed at a
+    # (possibly temporary) target after run_suite returns.
     from ..engine import global_plan_cache
 
-    cache = global_plan_cache()
-    prev_dir, prev_store = cache.cache_dir, cache.store_path
-    if ctx.plan_store is not None:
-        configure_global_plan_cache(store_path=ctx.plan_store)
-    else:
-        configure_global_plan_cache(ctx.plan_cache_dir)
+    prev_store = global_plan_cache().store_path
+    configure_global_plan_cache(ctx.plan_store)
     try:
         return _run_suite_prepared(
             kernels, app, app_spec, ds, ctx, seed, validate,
             max_workers, executor, keep_pool, pool, transport,
         )
     finally:
-        if prev_store is not None:
-            configure_global_plan_cache(store_path=prev_store)
-        else:
-            configure_global_plan_cache(prev_dir)
+        configure_global_plan_cache(prev_store)
 
 
 def _run_suite_prepared(
@@ -650,80 +601,23 @@ def _run_suite_prepared(
         return [row for shard_rows in per_shard for row in shard_rows]
 
     # Problem construction and the oracle are per-dataset, not per-cell:
-    # build them once and share across the dataset's kernels (drivers
-    # treat problem inputs as read-only, so this is thread-safe too).
-    def prep(dataset: Dataset):
+    # build them once and share them across the dataset's kernels.
+    rows: list[SweepRow] = []
+    for dataset in ds:
         problem = _build_problem(app_spec, app, dataset, seed)
         expected = (
             app_spec.oracle(problem)
             if validate and app_spec.oracle is not None
             else None
         )
-        return problem, expected
-
-    def one(cell) -> SweepRow:
-        dataset, kernel, problem, expected = cell
-        return _execute_cell(
-            app_spec, app, kernel, dataset, problem, expected, ctx,
-            validate, seed,
-        )
-
-    if executor == "thread" and max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            # Dataset prep (including expensive oracles) fans out too.
-            prepped = list(pool.map(prep, ds))
-            cells = [
-                (dataset, kernel, problem, expected)
-                for dataset, (problem, expected) in zip(ds, prepped)
-                for kernel in kernels
-            ]
-            return list(pool.map(one, cells))
-    rows: list[SweepRow] = []
-    for dataset in ds:
-        problem, expected = prep(dataset)
         rows.extend(
-            one((dataset, kernel, problem, expected)) for kernel in kernels
+            _execute_cell(
+                app_spec, app, kernel, dataset, problem, expected, ctx,
+                validate, seed,
+            )
+            for kernel in kernels
         )
     return rows
-
-
-def run_spmv_kernel(
-    kernel: str,
-    dataset: Dataset,
-    spec: GpuSpec | None = None,
-    *,
-    ctx: ExecutionContext | None = None,
-) -> SweepRow:
-    """Run one SpMV (kernel, dataset) cell (backward-compatible wrapper).
-
-    ``ctx`` is the :class:`~repro.engine.context.ExecutionContext`
-    spelling (engine, policy, device count); the positional ``spec`` is
-    the paper-era one.  Passing both is rejected by the same
-    ``from_kwargs`` mutual-exclusion rule as :func:`run_cell`.
-    """
-    return run_cell("spmv", kernel, dataset, spec, ctx=ctx)
-
-
-def run_spmv_suite(
-    kernels: Sequence[str],
-    *,
-    scale: str = "standard",
-    spec: GpuSpec | None = None,
-    datasets: Iterable[Dataset] | None = None,
-    limit: int | None = None,
-    ctx: ExecutionContext | None = None,
-) -> list[SweepRow]:
-    """The SpMV sweep of the paper's evaluation (wrapper over run_suite).
-
-    ``ctx`` threads a full :class:`~repro.engine.context.ExecutionContext`
-    through to :func:`run_suite` for callers migrating off the paper-era
-    API; combining it with the legacy ``spec=`` raises (``from_kwargs``
-    mutual exclusion, same as :func:`run_cell`).
-    """
-    return run_suite(
-        kernels, app="spmv", scale=scale, spec=spec, datasets=datasets,
-        limit=limit, ctx=ctx,
-    )
 
 
 def write_csv(

@@ -24,7 +24,9 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def write_fixture_tree(root, *, undocumented_env=True, rogue_site=True):
+def write_fixture_tree(
+    root, *, undocumented_env=True, rogue_site=True, stale_env_row=False
+):
     """A minimal repo tree violating the lints on demand."""
     src = root / "src" / "pkg"
     src.mkdir(parents=True)
@@ -43,6 +45,8 @@ def write_fixture_tree(root, *, undocumented_env=True, rogue_site=True):
     readme = "# fixture\n\n| Variable | Effect |\n| --- | --- |\n"
     if not undocumented_env:
         readme += "| `REPRO_FIXTURE_LIMIT` | documented. |\n"
+    if stale_env_row:
+        readme += "| `REPRO_FIXTURE_STALE` | read by nothing. |\n"
     (root / "README.md").write_text(readme)
     (root / "tests").mkdir()
     (root / "tests" / "test_faults.py").write_text("# no sites exercised\n")
@@ -132,13 +136,14 @@ class TestAnalyzeCli:
         assert "0 finding(s)" in out
 
     def test_strict_fails_on_broken_fixture(self, tmp_path):
-        root = write_fixture_tree(tmp_path)
+        root = write_fixture_tree(tmp_path, stale_env_row=True)
         code, _out, err = run_cli(
             "analyze", "--lint", "env-docs", "fault-sites", "--strict",
             "--root", str(root),
         )
         assert code == 1
         assert "REPRO_FIXTURE_TIMEOUT" in err
+        assert "REPRO_FIXTURE_STALE" in err  # a README row nothing reads
         assert "fixture.bogus_site" in err
 
     def test_probe_validates_safe_cells(self):

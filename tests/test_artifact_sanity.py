@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.spmv import spmv
 from repro.baselines.reference import dense_spmv_oracle
+from repro.engine import ExecutionContext
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.mtx_io import read_mtx
 
@@ -39,7 +40,7 @@ class TestSanityCheck:
     def test_merge_path_spmv_zero_errors(self, chesapeake):
         # "Errors : 0" under --validate.
         x = np.random.default_rng(0).uniform(size=39)
-        result = spmv(chesapeake, x, schedule="merge_path")
+        result = spmv(chesapeake, x, ctx=ExecutionContext(policy="merge_path"))
         errors = int(
             np.sum(~np.isclose(result.output, dense_spmv_oracle(chesapeake, x)))
         )
@@ -48,7 +49,7 @@ class TestSanityCheck:
     def test_elapsed_reported(self, chesapeake):
         # "Elapsed (ms): ..." -- a positive model time is reported.
         x = np.ones(39)
-        result = spmv(chesapeake, x, schedule="merge_path")
+        result = spmv(chesapeake, x, ctx=ExecutionContext(policy="merge_path"))
         assert result.elapsed_ms > 0
 
     def test_all_schedules_validate(self, chesapeake):
@@ -57,5 +58,5 @@ class TestSanityCheck:
         x = np.random.default_rng(1).uniform(size=39)
         expected = dense_spmv_oracle(chesapeake, x)
         for name in available_schedules():
-            result = spmv(chesapeake, x, schedule=name)
+            result = spmv(chesapeake, x, ctx=ExecutionContext(policy=name))
             np.testing.assert_allclose(result.output, expected, rtol=1e-9)

@@ -98,14 +98,31 @@ class TestSweepCommand:
         assert store.is_file()  # one journal, no plan-*.pkl directory
         assert not list(tmp_path.glob("plan-*.pkl"))
 
-    def test_plan_store_and_cache_dir_conflict(self, tmp_path, capsys):
+    def test_workers_require_process_executor(self, capsys):
         code, _ = run_cli(
             "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "1", "--plan-store", str(tmp_path / "s"),
-            "--plan-cache-dir", str(tmp_path / "d"),
+            "--limit", "1", "--workers", "2",
         )
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert "--executor process" in capsys.readouterr().err
+
+    def test_plan_cache_dir_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "sweep", "--kernels", "merge_path", "--scale", "smoke",
+                "--limit", "1", "--plan-cache-dir", str(tmp_path / "d"),
+            )
+        assert exc.value.code == 2
+        assert "--plan-cache-dir" in capsys.readouterr().err
+
+    def test_thread_executor_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "sweep", "--kernels", "merge_path", "--scale", "smoke",
+                "--limit", "1", "--executor", "thread",
+            )
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_keep_pool_requires_process_executor(self, capsys):
         code, _ = run_cli(
@@ -160,7 +177,7 @@ class TestSweepCommand:
     def test_parallel_workers(self):
         code, out = run_cli(
             "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "3", "--workers", "3",
+            "--limit", "3", "--workers", "3", "--executor", "process",
         )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))

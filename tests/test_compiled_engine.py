@@ -108,8 +108,8 @@ class TestBitForBitParity:
         for sched in available_schedules():
             pv = spec.sweep_problem(matrix, 7)
             pc = spec.sweep_problem(matrix, 7)
-            rv = run_app(app, pv, schedule=sched, engine="vector")
-            rc = run_app(app, pc, schedule=sched, engine="compiled")
+            rv = run_app(app, pv, ctx=ExecutionContext(engine="vector", policy=sched))
+            rc = run_app(app, pc, ctx=ExecutionContext(engine="compiled", policy=sched))
             assert _outputs_equal(rv.output, rc.output), (app, sched)
 
     def test_simt_agreement_on_small_matrix(self):
@@ -123,16 +123,17 @@ class TestBitForBitParity:
                 continue
             ps = spec.sweep_problem(matrix, 7)
             pc = spec.sweep_problem(matrix, 7)
-            rs = run_app(app, ps, engine="simt")
-            rc = run_app(app, pc, engine="compiled")
+            rs = run_app(app, ps, ctx=ExecutionContext(engine="simt"))
+            rc = run_app(app, pc, ctx=ExecutionContext(engine="compiled"))
             assert spec.match(rc.output, rs.output), app
 
     def test_compiled_stats_extras(self):
         matrix = _skewed_matrix()
         spec = get_app("spmv")
         result = run_app(
-            "spmv", spec.sweep_problem(matrix, 7),
-            schedule="merge_path", engine="compiled",
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled", policy="merge_path"),
         )
         extras = result.stats.extras
         assert extras["engine"] == "compiled"
@@ -176,12 +177,14 @@ class TestCompilationCache:
         matrix = _skewed_matrix()
         spec = get_app("spmv")
         first = run_app(
-            "spmv", spec.sweep_problem(matrix, 7),
-            schedule="merge_path", engine="compiled",
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled", policy="merge_path"),
         )
         second = run_app(
-            "spmv", spec.sweep_problem(matrix, 7),
-            schedule="merge_path", engine="compiled",
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled", policy="merge_path"),
         )
         assert first.stats.extras["compile_cache"] == "miss"
         assert second.stats.extras["compile_cache"] == "hit"
@@ -194,8 +197,11 @@ class TestCompilationCache:
         matrix = _skewed_matrix()
         spec = get_app("spmv")
         for sched in ("thread_mapped", "merge_path"):
-            run_app("spmv", spec.sweep_problem(matrix, 7),
-                    schedule=sched, engine="compiled")
+            run_app(
+                "spmv",
+                spec.sweep_problem(matrix, 7),
+                ctx=ExecutionContext(engine="compiled", policy=sched),
+            )
         assert compilation_cache_stats()["entries"] >= 2
         assert compilation_cache_stats()["hits"] == 0
 
@@ -216,8 +222,12 @@ class TestCompilationCache:
 
         clear_compilation_cache()
         rows = run_suite(
-            ["merge_path"], app="spmv", scale="smoke", limit=2,
-            engine="compiled", executor="serial",
+            ["merge_path"],
+            app="spmv",
+            scale="smoke",
+            limit=2,
+            executor="serial",
+            ctx=ExecutionContext(engine="compiled"),
         )
         assert rows
         for row in rows:
@@ -270,8 +280,16 @@ class TestJitGating:
         assert not compiled_mod.numba_available()
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        rv = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
-        rc = run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
+        rv = run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="vector"),
+        )
+        rc = run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled"),
+        )
         assert rc.stats.extras["jit"] == "numpy"
         assert _outputs_equal(rv.output, rc.output)
 
@@ -279,8 +297,16 @@ class TestJitGating:
         assert compiled_mod.numba_available()
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        rv = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
-        rc = run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
+        rv = run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="vector"),
+        )
+        rc = run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled"),
+        )
         assert rc.stats.extras["jit"] == "numba"
         assert _outputs_equal(rv.output, rc.output)
         assert stub_numba.compiled  # the scalar body went through njit
@@ -295,15 +321,31 @@ class TestJitGating:
             spec = get_app(app)
             if spec.accepts is not None and not spec.accepts(matrix):
                 continue
-            rv = run_app(app, spec.sweep_problem(matrix, 7), engine="vector")
-            rc = run_app(app, spec.sweep_problem(matrix, 7), engine="compiled")
+            rv = run_app(
+                app,
+                spec.sweep_problem(matrix, 7),
+                ctx=ExecutionContext(engine="vector"),
+            )
+            rc = run_app(
+                app,
+                spec.sweep_problem(matrix, 7),
+                ctx=ExecutionContext(engine="compiled"),
+            )
             assert _outputs_equal(rv.output, rc.output), app
 
     def test_njit_wrapper_is_cached_per_function(self, stub_numba):
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
-        run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
+        run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled"),
+        )
+        run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="compiled"),
+        )
         from repro.apps.spmv import _spmv_scalar
 
         assert stub_numba.compiled.count(_spmv_scalar) == 1
@@ -341,7 +383,7 @@ class TestEngineContract:
         from repro.apps.common import spmv_costs
 
         matrix = _skewed_matrix()
-        rt = Runtime("compiled", spec=TINY_GPU, schedule="thread_mapped")
+        rt = Runtime("compiled", spec=TINY_GPU, policy="thread_mapped")
         work = WorkSpec.from_csr(matrix)
         costs = spmv_costs(rt.spec)
         sched = rt.schedule_for(work, matrix=matrix, kernel="spmv", costs=costs)
@@ -352,7 +394,11 @@ class TestEngineContract:
         # The widened launch signature must not change vector behaviour.
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        r = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
+        r = run_app(
+            "spmv",
+            spec.sweep_problem(matrix, 7),
+            ctx=ExecutionContext(engine="vector"),
+        )
         assert r.output is not None
 
 
@@ -406,11 +452,11 @@ class TestSuiteIntegration:
     def test_fail_fast_on_unknown_engine_every_executor(self):
         from repro.evaluation.harness import run_suite
 
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             with pytest.raises(UnknownEngineError, match="compield"):
                 run_suite(
                     ["merge_path"], scale="smoke", limit=1,
-                    engine="compield", executor=executor,
+                    ctx=ExecutionContext(engine="compield"), executor=executor,
                 )
 
     def test_fail_fast_on_unknown_override_engine(self):
@@ -427,8 +473,10 @@ class TestSuiteIntegration:
         from repro.evaluation.harness import run_suite
 
         kwargs = dict(app=app, scale="smoke", limit=2, executor="serial")
-        vec = run_suite(["merge_path"], engine="vector", **kwargs)
-        comp = run_suite(["merge_path"], engine="compiled", **kwargs)
+        vec = run_suite(["merge_path"], ctx=ExecutionContext(), **kwargs)
+        comp = run_suite(
+            ["merge_path"], ctx=ExecutionContext(engine="compiled"), **kwargs
+        )
         # SweepRow equality ignores meta; elapsed differs by engine (the
         # compiled engine folds materialized loads, the vector engine
         # prices the plan analytically), so compare identity columns.
@@ -445,7 +493,8 @@ class TestSuiteIntegration:
         from repro.evaluation.harness import run_suite
 
         kwargs = dict(
-            app="spmv", scale="smoke", limit=3, engine="compiled",
+            app="spmv", scale="smoke", limit=3,
+            ctx=ExecutionContext(engine="compiled"),
             kernels=["merge_path", "thread_mapped"],
         )
 
@@ -456,11 +505,10 @@ class TestSuiteIntegration:
             ]
 
         serial = run_suite(executor="serial", **kwargs)
-        thread = run_suite(executor="thread", max_workers=4, **kwargs)
         process = run_suite(
             executor="process", max_workers=2, transport="shm", **kwargs
         )
-        assert key(serial) == key(thread) == key(process)
+        assert key(serial) == key(process)
         assert serial  # non-empty sweep
 
 

@@ -8,6 +8,7 @@ from repro.apps.sssp import sssp
 from repro.core.schedule import LaunchParams, available_schedules, make_schedule
 from repro.core.work import WorkSpec
 from repro.apps.common import spmv_costs
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import TINY_GPU, V100
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.graph import CsrGraph
@@ -20,13 +21,13 @@ class TestDegenerateMatrices:
     @pytest.mark.parametrize("name", ALL)
     def test_one_by_one(self, name):
         m = CsrMatrix.from_dense(np.array([[3.0]]))
-        r = spmv(m, np.array([2.0]), schedule=name)
+        r = spmv(m, np.array([2.0]), ctx=ExecutionContext(policy=name))
         np.testing.assert_allclose(r.output, [6.0])
 
     @pytest.mark.parametrize("name", ALL)
     def test_all_rows_empty(self, name):
         m = CsrMatrix.empty((16, 16))
-        r = spmv(m, np.ones(16), schedule=name)
+        r = spmv(m, np.ones(16), ctx=ExecutionContext(policy=name))
         np.testing.assert_array_equal(r.output, np.zeros(16))
         assert r.elapsed_ms > 0  # the launch itself still costs
 
@@ -36,7 +37,7 @@ class TestDegenerateMatrices:
         dense[3, :] = np.arange(64) + 1.0
         m = CsrMatrix.from_dense(dense)
         x = np.ones(64)
-        r = spmv(m, x, schedule=name)
+        r = spmv(m, x, ctx=ExecutionContext(policy=name))
         np.testing.assert_allclose(r.output, dense @ x)
 
     def test_zero_row_zero_col_rejected_sanely(self):
@@ -49,7 +50,7 @@ class TestDegenerateMatrices:
         tall = gen.poisson_random(10_000, 2, 1.0, seed=1)
         for m in (wide, tall):
             x = np.ones(m.num_cols)
-            r = spmv(m, x, schedule="heuristic")
+            r = spmv(m, x, ctx=ExecutionContext(policy="heuristic"))
             np.testing.assert_allclose(r.output, m.to_dense() @ x, rtol=1e-9)
 
 
@@ -107,7 +108,11 @@ class TestNumericalEdges:
         agree within float tolerance, not bit-exactly."""
         m = gen.power_law(300, 300, 20.0, 1.7, seed=3)
         x = np.random.default_rng(4).uniform(-1e6, 1e6, size=300)
-        results = [spmv(m, x, schedule=s).output for s in ("merge_path", "thread_mapped")]
+        results = [spmv(
+            m,
+            x,
+            ctx=ExecutionContext(policy=s),
+        ).output for s in ("merge_path", "thread_mapped")]
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)
 
 

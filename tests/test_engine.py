@@ -9,6 +9,7 @@ from repro.engine import (
     AppSpec,
     DEFAULT_SEED,
     EngineError,
+    ExecutionContext,
     PlanCache,
     Runtime,
     SimtEngine,
@@ -103,8 +104,12 @@ class TestCrossEngineParity:
         app = get_app(app_name)
         problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
         expected = app.oracle(problem)
-        vector = run_app(app, problem, engine="vector", spec=TINY_GPU)
-        simt = run_app(app, problem, engine="simt", spec=TINY_GPU)
+        vector = run_app(
+            app,
+            problem,
+            ctx=ExecutionContext(engine="vector", spec=TINY_GPU),
+        )
+        simt = run_app(app, problem, ctx=ExecutionContext(engine="simt", spec=TINY_GPU))
         assert app.match(vector.output, expected), f"{app_name}: vector != oracle"
         assert app.match(simt.output, expected), f"{app_name}: simt != oracle"
         assert vector.elapsed_ms > 0 and simt.elapsed_ms > 0
@@ -118,14 +123,22 @@ class TestCrossEngineParity:
         problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
         expected = app.oracle(problem)
         for engine in ("vector", "simt"):
-            r = run_app(app, problem, schedule=schedule, engine=engine, spec=TINY_GPU)
+            r = run_app(
+                app,
+                problem,
+                ctx=ExecutionContext(engine=engine, spec=TINY_GPU, policy=schedule),
+            )
             assert app.match(r.output, expected), (app_name, schedule, engine)
 
     def test_heuristic_schedule_supported_by_every_app(self, small_matrix):
         for app_name in sorted(available_apps()):
             app = get_app(app_name)
             problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
-            r = run_app(app, problem, schedule="heuristic", spec=TINY_GPU)
+            r = run_app(
+                app,
+                problem,
+                ctx=ExecutionContext(spec=TINY_GPU, policy="heuristic"),
+            )
             assert app.match(r.output, app.oracle(problem)), app_name
 
 
@@ -136,9 +149,13 @@ class TestPlanCache:
         x = input_vector(small_matrix.num_cols)
         cached = VectorEngine(plan_cache=PlanCache())
         uncached = VectorEngine(plan_cache=PlanCache(maxsize=0))
-        warm = spmv(small_matrix, x, spec=TINY_GPU, engine=cached)
-        hit = spmv(small_matrix, x, spec=TINY_GPU, engine=cached)
-        cold = spmv(small_matrix, x, spec=TINY_GPU, engine=uncached)
+        warm = spmv(small_matrix, x, ctx=ExecutionContext(engine=cached, spec=TINY_GPU))
+        hit = spmv(small_matrix, x, ctx=ExecutionContext(engine=cached, spec=TINY_GPU))
+        cold = spmv(
+            small_matrix,
+            x,
+            ctx=ExecutionContext(engine=uncached, spec=TINY_GPU),
+        )
         # KernelStats compares every timing field (extras excluded).
         assert warm.stats == hit.stats == cold.stats
         assert cached.plan_cache.hits == 1
@@ -157,10 +174,18 @@ class TestPlanCache:
         monkeypatch.setattr(MergePathSchedule, "warp_cycles", counting)
         engine = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
-        first = spmv(small_matrix, x, spec=TINY_GPU, engine=engine)
+        first = spmv(
+            small_matrix,
+            x,
+            ctx=ExecutionContext(engine=engine, spec=TINY_GPU),
+        )
         after_first = calls["n"]
         assert after_first >= 1
-        second = spmv(small_matrix, x, spec=TINY_GPU, engine=engine)
+        second = spmv(
+            small_matrix,
+            x,
+            ctx=ExecutionContext(engine=engine, spec=TINY_GPU),
+        )
         assert calls["n"] == after_first  # cache hit: no recomputation
         assert second.stats == first.stats
 
@@ -169,10 +194,11 @@ class TestPlanCache:
 
         engine = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
-        a = spmv(small_matrix, x, spec=TINY_GPU, engine=engine)
+        a = spmv(small_matrix, x, ctx=ExecutionContext(engine=engine, spec=TINY_GPU))
         b = spmv(
-            small_matrix, x, spec=TINY_GPU, engine=engine,
-            schedule="thread_mapped",
+            small_matrix,
+            x,
+            ctx=ExecutionContext(engine=engine, spec=TINY_GPU, policy="thread_mapped"),
         )
         assert engine.plan_cache.hits == 0
         assert engine.plan_cache.misses == 2
@@ -185,8 +211,16 @@ class TestPlanCache:
         work = WorkSpec.from_csr(small_matrix)
         sched = make_schedule("merge_path", work, TINY_GPU)
         x = input_vector(small_matrix.num_cols)
-        spmv(small_matrix, x, spec=TINY_GPU, engine=engine, schedule=sched)
-        spmv(small_matrix, x, spec=TINY_GPU, engine=engine, schedule=sched)
+        spmv(
+            small_matrix,
+            x,
+            ctx=ExecutionContext(engine=engine, spec=TINY_GPU, policy=sched),
+        )
+        spmv(
+            small_matrix,
+            x,
+            ctx=ExecutionContext(engine=engine, spec=TINY_GPU, policy=sched),
+        )
         assert engine.plan_cache.hits == 0 and engine.plan_cache.misses == 0
 
     def test_global_cache_serves_harness_reruns(self):
@@ -244,7 +278,8 @@ class TestGenericSweep:
         kwargs = dict(app="spmm", scale="smoke", limit=3)
         serial = run_suite(["merge_path", "thread_mapped"], **kwargs)
         parallel = run_suite(
-            ["merge_path", "thread_mapped"], max_workers=4, **kwargs
+            ["merge_path", "thread_mapped"], executor="process", max_workers=2,
+            **kwargs
         )
         assert [(r.dataset, r.kernel, r.elapsed) for r in serial] == [
             (r.dataset, r.kernel, r.elapsed) for r in parallel

@@ -71,12 +71,9 @@ class TestConstruction:
         ctx = ExecutionContext(plan_store=tmp_path / "plans.journal")
         assert ctx.plan_store == str(tmp_path / "plans.journal")
 
-    def test_plan_store_and_cache_dir_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext(
-                plan_cache_dir=str(tmp_path / "d"),
-                plan_store=str(tmp_path / "s.journal"),
-            )
+    def test_plan_store_is_the_only_persistence_field(self):
+        with pytest.raises(TypeError):
+            ExecutionContext(plan_cache_dir="plans")
 
     def test_replace_and_with_helpers(self):
         ctx = ExecutionContext()
@@ -84,6 +81,21 @@ class TestConstruction:
         assert ctx.with_engine("simt").engine == "simt"
         assert ctx.replace(gpus=3).gpus == 3
         assert ctx.policy is None  # original untouched
+
+
+class TestRuntime:
+    def test_policy_accepts_any_selection(self):
+        from repro.engine import Runtime
+
+        assert Runtime(policy="lrb").policy == FixedPolicy("lrb")
+        assert isinstance(Runtime(policy="heuristic").policy, HeuristicPolicy)
+        assert Runtime().policy is None
+
+    def test_schedule_keyword_is_gone(self):
+        from repro.engine import Runtime
+
+        with pytest.raises(TypeError):
+            Runtime(schedule="lrb")
 
 
 class TestPickling:
@@ -104,48 +116,22 @@ class TestPickling:
         assert pickle.loads(pickle.dumps(ctx)).plan_store == "/tmp/plans.journal"
 
 
-class TestFromKwargs:
-    def test_ctx_passthrough(self):
-        ctx = ExecutionContext(engine="simt")
-        assert ExecutionContext.from_kwargs(ctx=ctx) is ctx
-
-    def test_ctx_plus_legacy_kwargs_rejected(self):
-        ctx = ExecutionContext()
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(ctx=ctx, engine="simt")
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(ctx=ctx, schedule="lrb")
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(ctx=ctx, opt=3)
-
-    def test_schedule_becomes_policy(self):
-        ctx = ExecutionContext.from_kwargs(schedule="lrb")
-        assert ctx.policy == FixedPolicy("lrb")
-        assert isinstance(
-            ExecutionContext.from_kwargs(schedule="heuristic").policy,
-            HeuristicPolicy,
-        )
-
-    def test_schedule_and_policy_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(schedule="lrb", policy=FixedPolicy("lrb"))
-
-    def test_schedule_options_captured(self):
-        ctx = ExecutionContext.from_kwargs(schedule="group_mapped", group_size=8)
-        assert ctx.options == {"group_size": 8}
-
-
 class TestEveryAppAcceptsCtx:
-    """The acceptance bar: all 9 apps take ctx= and match the legacy path."""
+    """The acceptance bar: all 9 apps take ctx= and nothing else selects."""
 
     @pytest.mark.parametrize("app_name", sorted(available_apps()))
-    def test_ctx_equals_legacy(self, app_name, small_matrix):
+    def test_policy_less_ctx_runs_the_app_default(self, app_name, small_matrix):
+        """A context without a policy falls back to the app's registered
+        default schedule -- the same rows as naming it explicitly."""
         app = get_app(app_name)
         problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
-        legacy = run_app(app, problem, spec=TINY_GPU)
-        via_ctx = run_app(app, problem, ctx=ExecutionContext(spec=TINY_GPU))
-        assert app.match(via_ctx.output, legacy.output), app_name
-        assert via_ctx.stats.elapsed_ms == legacy.stats.elapsed_ms
+        implicit = run_app(app, problem, ctx=ExecutionContext(spec=TINY_GPU))
+        explicit = run_app(
+            app, problem,
+            ctx=ExecutionContext(spec=TINY_GPU, policy=app.default_schedule),
+        )
+        assert app.match(implicit.output, explicit.output), app_name
+        assert implicit.stats.elapsed_ms == explicit.stats.elapsed_ms
 
     @pytest.mark.parametrize("app_name", sorted(available_apps()))
     def test_public_function_accepts_ctx(self, app_name, small_matrix):
@@ -188,13 +174,24 @@ class TestEveryAppAcceptsCtx:
         result = calls[app_name]()
         assert result.stats.elapsed_ms > 0
 
-    def test_public_function_rejects_ctx_plus_legacy(self, small_matrix):
-        from repro.apps.spmv import spmv
-        from repro.engine import input_vector
+    @pytest.mark.parametrize("app_name", sorted(available_apps()))
+    def test_public_function_rejects_loose_selection_kwargs(self, app_name):
+        """ctx= is the only selection argument: the pre-context loose
+        kwargs are not accepted by any public app function."""
+        import inspect
 
-        x = input_vector(small_matrix.num_cols)
-        with pytest.raises(ValueError, match="not both"):
-            spmv(small_matrix, x, ctx=ExecutionContext(), schedule="lrb")
+        from repro import apps
+
+        fn = {"histogram": apps.degree_histogram}.get(app_name) or getattr(
+            apps, app_name
+        )
+        params = inspect.signature(fn).parameters
+        assert "ctx" in params
+        for loose in ("schedule", "spec", "engine", "launch", "policy"):
+            assert loose not in params, (app_name, loose)
+        assert not any(
+            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+        ), app_name
 
     def test_engine_instances_still_accepted(self, small_matrix):
         from repro.apps.spmv import spmv
@@ -202,7 +199,7 @@ class TestEveryAppAcceptsCtx:
 
         eng = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
-        r = spmv(small_matrix, x, spec=TINY_GPU, engine=eng)
+        r = spmv(small_matrix, x, ctx=ExecutionContext(engine=eng, spec=TINY_GPU))
         assert eng.plan_cache.misses == 1
         assert r.elapsed_ms > 0
 
@@ -221,14 +218,15 @@ class TestContextThroughSuite:
             (r.kernel, r.elapsed) for r in via_ctx
         ]
 
-    def test_run_suite_rejects_ctx_plus_legacy(self):
+    def test_run_suite_rejects_loose_selection_kwargs(self):
         from repro.evaluation.harness import run_suite
         from repro.sparse.corpus import load_dataset
 
         ds = [load_dataset("tiny_diag_32", "smoke")]
-        with pytest.raises(ValueError, match="not both"):
-            run_suite(["merge_path"], datasets=ds, ctx=ExecutionContext(),
-                      engine="simt")
+        for loose in ({"engine": "simt"}, {"spec": TINY_GPU},
+                      {"plan_store": "plans.journal"}):
+            with pytest.raises(TypeError):
+                run_suite(["merge_path"], datasets=ds, **loose)
 
     def test_ctx_crosses_process_pool(self):
         """The context is the pickled execution selection of shard tasks."""

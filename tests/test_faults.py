@@ -342,8 +342,8 @@ class TestSharingFaults:
 
         configure_faults("worker.start:err@1")
         with pytest.raises(FaultInjected, match="worker.start"):
-            _worker_warmup(None, None)
-        _worker_warmup(None, None)  # fired once; the respawned slot warms up
+            _worker_warmup(None)
+        _worker_warmup(None)  # fired once; the respawned slot warms up
 
 
 class TestJournalChaos:

@@ -8,7 +8,7 @@ from repro.evaluation.figures import (
     fig3_landscape,
     fig4_heuristic,
 )
-from repro.evaluation.harness import run_spmv_suite
+from repro.evaluation.harness import run_suite
 from repro.sparse.corpus import corpus_names
 
 
@@ -17,10 +17,19 @@ def all_rows():
     """One harness sweep shared by every figure test (smoke scale)."""
     kernels = ["merge_path", "thread_mapped", "group_mapped", "heuristic",
                "cub", "cusparse"]
-    return run_spmv_suite(kernels, scale="smoke")
+    return run_suite(kernels, scale="smoke")
 
 
 class TestFig2:
+    def test_own_sweep_runs_under_ctx(self):
+        from repro.engine import ExecutionContext
+        from repro.gpusim.arch import TINY_GPU
+
+        ctx = ExecutionContext(spec=TINY_GPU)
+        own = fig2_overhead(scale="smoke", ctx=ctx)
+        rows = run_suite(["merge_path", "cub"], scale="smoke", ctx=ctx)
+        assert own.slowdowns == fig2_overhead(rows=rows).slowdowns
+
     def test_full_corpus_covered(self, all_rows):
         r = fig2_overhead(rows=all_rows)
         assert set(r.slowdowns) == set(corpus_names())

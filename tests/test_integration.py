@@ -21,6 +21,7 @@ from repro import (
     triangle_count,
     WorkSpec,
 )
+from repro.engine import ExecutionContext
 
 
 class TestPublicApi:
@@ -34,7 +35,7 @@ class TestPublicApi:
     def test_quickstart_from_docstring(self):
         dataset = load_dataset("power_a19", scale="smoke")
         x = np.ones(dataset.cols)
-        result = spmv(dataset.matrix, x, schedule="merge_path")
+        result = spmv(dataset.matrix, x, ctx=ExecutionContext(policy="merge_path"))
         assert result.elapsed_ms > 0
         assert 0 <= result.stats.simt_efficiency <= 1
 
@@ -44,12 +45,12 @@ class TestCorpusToFiguresPipeline:
         from repro.evaluation import (
             fig2_overhead,
             fig4_heuristic,
-            run_spmv_suite,
+            run_suite,
             write_csv,
         )
 
         datasets = build_corpus("smoke", limit=8)
-        rows = run_spmv_suite(
+        rows = run_suite(
             ["merge_path", "cub", "heuristic", "cusparse"], datasets=datasets
         )
         path = write_csv(rows, tmp_path / "results.csv")
@@ -68,15 +69,31 @@ class TestEngineAgreement:
     def test_spmv_engines_agree(self, schedule):
         m = load_dataset("tiny_uniform_64", "smoke").matrix
         x = np.random.default_rng(2).uniform(size=m.num_cols)
-        vec = spmv(m, x, schedule=schedule, spec=TINY_GPU, engine="vector")
-        simt = spmv(m, x, schedule=schedule, spec=TINY_GPU, engine="simt")
+        vec = spmv(
+            m,
+            x,
+            ctx=ExecutionContext(engine="vector", spec=TINY_GPU, policy=schedule),
+        )
+        simt = spmv(
+            m,
+            x,
+            ctx=ExecutionContext(engine="simt", spec=TINY_GPU, policy=schedule),
+        )
         np.testing.assert_allclose(vec.output, simt.output, rtol=1e-9)
 
     def test_spmm_engines_agree(self):
         m = load_dataset("tiny_uniform_64", "smoke").matrix
         b = np.random.default_rng(3).uniform(size=(m.num_cols, 3))
-        vec = spmm(m, b, schedule="merge_path", spec=TINY_GPU, engine="vector")
-        simt = spmm(m, b, schedule="merge_path", spec=TINY_GPU, engine="simt")
+        vec = spmm(
+            m,
+            b,
+            ctx=ExecutionContext(engine="vector", spec=TINY_GPU, policy="merge_path"),
+        )
+        simt = spmm(
+            m,
+            b,
+            ctx=ExecutionContext(engine="simt", spec=TINY_GPU, policy="merge_path"),
+        )
         np.testing.assert_allclose(vec.output, simt.output, rtol=1e-9)
 
 
@@ -112,14 +129,22 @@ class TestPortability:
         x = np.ones(m.num_cols)
         expected = m.to_dense() @ x
         for name in available_schedules():
-            r = spmv(m, x, schedule=name, spec=spec)
+            r = spmv(m, x, ctx=ExecutionContext(spec=spec, policy=name))
             np.testing.assert_allclose(r.output, expected, rtol=1e-9)
 
     def test_timings_differ_across_specs(self):
         m = load_dataset("small_power_1k", "smoke").matrix
         x = np.ones(m.num_cols)
-        t_v100 = spmv(m, x, schedule="merge_path", spec=V100).elapsed_ms
-        t_tiny = spmv(m, x, schedule="merge_path", spec=TINY_GPU).elapsed_ms
+        t_v100 = spmv(
+            m,
+            x,
+            ctx=ExecutionContext(spec=V100, policy="merge_path"),
+        ).elapsed_ms
+        t_tiny = spmv(
+            m,
+            x,
+            ctx=ExecutionContext(spec=TINY_GPU, policy="merge_path"),
+        ).elapsed_ms
         assert t_tiny > t_v100  # a 2-SM GPU is slower than an 80-SM one
 
 

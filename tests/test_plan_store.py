@@ -1,9 +1,9 @@
 """Tests for the append-only single-file plan store (journal layout).
 
-Contract mirrors the per-file disk layer: the store is *pure
-acceleration*.  Truncated tails, corrupt records, version bumps, foreign
-files and concurrent writers can only ever read as misses -- never as an
-error, never as a wrong plan.
+The store is the plan cache's disk layer and is *pure acceleration*.
+Truncated tails, corrupt records, version bumps, foreign files and
+concurrent writers can only ever read as misses -- never as an error,
+never as a wrong plan.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.apps.common import spmv_costs
 from repro.core.schedule import make_schedule
 from repro.core.work import WorkSpec
 from repro.engine import (
+    CACHE_FORMAT_VERSION,
     PLAN_STORE_ENV,
     PlanCache,
     PlanStore,
@@ -161,6 +162,16 @@ class TestDamageTolerance:
         path.write_bytes(bytes(data))
         assert store.get(("a",)) is None
         assert len(store) == 0  # stale index entry dropped
+
+    def test_key_mismatch_in_payload_reads_as_miss(self, tmp_path):
+        store = PlanStore(tmp_path / "plans.journal")
+        store.put(("a",), 1)
+        store.put(("b",), 2)
+        # A stale index entry pointing at another key's record (e.g. the
+        # file was rewritten under us): the stored key must be checked.
+        store._index[("a",)] = store._index[("b",)]
+        assert store.get(("a",)) is None
+        assert store.get(("b",)) == 2
 
 
 class TestCompaction:
@@ -326,24 +337,92 @@ class TestPlanCacheIntegration:
         assert replayed == stats
         assert warm.info()["store_path"] == str(path)
         assert warm.info()["store_records"] == 1
-        assert path.is_file()
-        assert not list(tmp_path.glob("plan-*.pkl"))  # no per-file layout
+        assert [p.name for p in tmp_path.iterdir()] == ["plans.journal"]
 
-    def test_cache_dir_and_store_path_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            PlanCache(cache_dir=tmp_path / "d", store_path=tmp_path / "s")
-        with pytest.raises(ValueError, match="not both"):
-            configure_global_plan_cache(
-                tmp_path / "d", store_path=tmp_path / "s"
-            )
+    def test_no_store_means_no_files(self, tmp_path, matrix):
+        cache = PlanCache()
+        _plan_once(cache, matrix)
+        assert cache.store is None and cache.info()["store_path"] is None
+        assert list(tmp_path.iterdir()) == []
 
-    def test_attaching_store_detaches_dir_and_vice_versa(self, tmp_path):
-        cache = PlanCache(cache_dir=tmp_path / "d")
-        cache.set_store_path(tmp_path / "s.journal")
-        assert cache.cache_dir is None
-        assert cache.store_path == tmp_path / "s.journal"
-        cache.set_cache_dir(tmp_path / "d2")
-        assert cache.store_path is None and cache.cache_dir == tmp_path / "d2"
+    def test_payload_version_mismatch_reads_as_miss(self, tmp_path, matrix):
+        path = tmp_path / "plans.journal"
+        writer = PlanCache(store_path=path)
+        stats = _plan_once(writer, matrix)
+        (key,) = list(writer._entries)
+        writer.store.put(
+            key, {"version": CACHE_FORMAT_VERSION + 1, "stats": stats}
+        )
+
+        reader = PlanCache(store_path=path)
+        replanned = _plan_once(reader, matrix)
+        assert reader.disk_hits == 0 and reader.misses == 1
+        assert replanned == stats  # planned live, same pure result
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["wrong", "shape"],
+            {"version": CACHE_FORMAT_VERSION, "stats": 42},
+            {"version": CACHE_FORMAT_VERSION},
+        ],
+        ids=["non-dict", "bad-stats", "missing-stats"],
+    )
+    def test_malformed_payload_falls_through_to_live_plan(
+        self, tmp_path, matrix, payload
+    ):
+        path = tmp_path / "plans.journal"
+        writer = PlanCache(store_path=path)
+        stats = _plan_once(writer, matrix)
+        (key,) = list(writer._entries)
+        writer.store.put(key, payload)
+
+        reader = PlanCache(store_path=path)
+        replanned = _plan_once(reader, matrix)  # must not raise
+        assert reader.disk_hits == 0 and reader.misses == 1
+        assert replanned == stats
+
+    def test_disk_hit_promotes_to_memory(self, tmp_path, matrix):
+        path = tmp_path / "plans.journal"
+        _plan_once(PlanCache(store_path=path), matrix)  # seed the store
+        cache = PlanCache(store_path=path)
+        _plan_once(cache, matrix)
+        assert cache.disk_hits == 1
+        _plan_once(cache, matrix)
+        assert cache.hits == 2 and cache.disk_hits == 1  # second hit: memory
+
+    def test_clear_keeps_disk_entries(self, tmp_path, matrix):
+        cache = PlanCache(store_path=tmp_path / "plans.journal")
+        _plan_once(cache, matrix)
+        cache.clear()
+        assert cache.info()["size"] == 0
+        assert cache.info()["store_records"] == 1
+        _plan_once(cache, matrix)
+        assert cache.disk_hits == 1
+
+    def test_vector_engine_persists_and_warm_starts(self, tmp_path, matrix):
+        from repro.apps.spmv import spmv
+        from repro.engine import ExecutionContext, VectorEngine, input_vector
+
+        path = tmp_path / "plans.journal"
+        x = input_vector(matrix.num_cols)
+        cold = VectorEngine(plan_cache=PlanCache(store_path=path))
+        first = spmv(matrix, x, ctx=ExecutionContext(engine=cold, spec=TINY_GPU))
+
+        warm = VectorEngine(plan_cache=PlanCache(store_path=path))
+        second = spmv(matrix, x, ctx=ExecutionContext(engine=warm, spec=TINY_GPU))
+        assert warm.plan_cache.disk_hits == 1
+        assert second.stats == first.stats
+
+    def test_attaching_another_store_swaps_the_journal(self, tmp_path):
+        cache = PlanCache(store_path=tmp_path / "a.journal")
+        first = cache.store
+        cache.set_store_path(tmp_path / "b.journal")
+        assert cache.store_path == tmp_path / "b.journal"
+        with pytest.raises(ValueError, match="closed"):
+            first.put(("k",), 1)  # the previous journal was closed
+        cache.set_store_path(None)
+        assert cache.store is None and cache.store_path is None
 
     def test_reattaching_same_store_is_a_noop(self, tmp_path, matrix):
         path = tmp_path / "plans.journal"
@@ -353,8 +432,14 @@ class TestPlanCacheIntegration:
         cache.set_store_path(path)  # what warm pool workers do per shard
         assert cache.store is store  # same open journal, index kept
 
+    def test_configure_global_takes_only_a_store_path(self, tmp_path):
+        """The in-memory bound is fixed at construction: there is no
+        resize knob that would leave the cache over its bound."""
+        with pytest.raises(TypeError):
+            configure_global_plan_cache(tmp_path / "s.journal", maxsize=2)
+
     def test_configure_global_with_store(self, tmp_path):
-        cache = configure_global_plan_cache(store_path=tmp_path / "s.journal")
+        cache = configure_global_plan_cache(tmp_path / "s.journal")
         try:
             assert cache.store_path == tmp_path / "s.journal"
         finally:
@@ -368,8 +453,9 @@ class TestCrossProcess:
             "import json, sys\n"
             "from repro.evaluation.harness import run_suite\n"
             "from repro.engine import global_plan_cache\n"
+            "from repro.engine import ExecutionContext\n"
             "run_suite(['merge_path', 'thread_mapped'], scale='smoke',\n"
-            "          limit=3, plan_store=sys.argv[1])\n"
+            "          limit=3, ctx=ExecutionContext(plan_store=sys.argv[1]))\n"
             "print(json.dumps(global_plan_cache().info()))\n"
         )
         env = dict(os.environ)

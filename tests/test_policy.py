@@ -162,7 +162,7 @@ class TestOracleBestPolicy:
         x = input_vector(matrix.num_cols)
         oracle = spmv(matrix, x, ctx=ExecutionContext(policy=OracleBestPolicy()))
         for name in available_schedules():
-            fixed = spmv(matrix, x, schedule=name)
+            fixed = spmv(matrix, x, ctx=ExecutionContext(policy=name))
             assert oracle.elapsed_ms <= fixed.elapsed_ms + 1e-12, name
         assert oracle.schedule in available_schedules()
 
@@ -188,9 +188,9 @@ class TestOracleBestPolicy:
 
         costs = spmv_costs(V100)
         eng = VectorEngine(plan_cache=PlanCache())
-        rt_wide = Runtime(eng, schedule="group_mapped",
+        rt_wide = Runtime(eng, policy="group_mapped",
                           schedule_options={"group_size": 32})
-        rt_narrow = Runtime(eng, schedule="group_mapped",
+        rt_narrow = Runtime(eng, policy="group_mapped",
                             schedule_options={"group_size": 4})
         s_wide = rt_wide.schedule_for(work)
         s_narrow = rt_narrow.schedule_for(work)

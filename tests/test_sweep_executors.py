@@ -1,6 +1,6 @@
-"""Tests for the harness's fan-out strategies (serial / thread / process).
+"""Tests for the harness's fan-out strategies (serial / process).
 
-The contract: all three executors return *identical* row lists for the
+The contract: both executors return *identical* row lists for the
 same grid and seed, in deterministic (dataset, kernel) order, and the
 process executor shards work per dataset (problem + oracle built once
 per shard, every kernel of the cell amortized against them).
@@ -16,7 +16,6 @@ from repro.evaluation.harness import (
     _ShardTask,
     run_suite,
 )
-from repro.gpusim.arch import V100
 from repro.sparse.corpus import build_corpus, load_dataset
 
 KERNELS = ["merge_path", "thread_mapped", "cub"]
@@ -30,17 +29,14 @@ def _key(rows):
 class TestExecutorEquivalence:
     def test_all_executors_return_identical_rows(self):
         serial = run_suite(KERNELS, scale="smoke", limit=4, executor="serial")
-        thread = run_suite(
-            KERNELS, scale="smoke", limit=4, executor="thread", max_workers=4
-        )
         process = run_suite(
             KERNELS, scale="smoke", limit=4, executor="process", max_workers=2
         )
-        assert _key(serial) == _key(thread) == _key(process)
+        assert _key(serial) == _key(process)
         assert len(serial) == 4 * len(KERNELS)
 
     def test_every_execution_path_returns_identical_rows(self):
-        """The acceptance matrix: serial / thread / fresh-process /
+        """The acceptance matrix: serial / fresh-process /
         persistent-pool / shared-memory / pickle-transport sweeps of the
         same seeded grid produce identical SweepRows."""
         from repro.engine import SweepExecutor
@@ -48,8 +44,6 @@ class TestExecutorEquivalence:
         kwargs = dict(scale="smoke", limit=4, seed=11)
         paths = {
             "serial": run_suite(KERNELS, executor="serial", **kwargs),
-            "thread": run_suite(KERNELS, executor="thread", max_workers=4,
-                                **kwargs),
             "fresh_process": run_suite(KERNELS, executor="process",
                                        max_workers=2, **kwargs),
             "pickle_transport": run_suite(KERNELS, executor="process",
@@ -106,23 +100,40 @@ class TestExecutorEquivalence:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             run_suite(["merge_path"], scale="smoke", limit=1, executor="gpu")
-        assert EXECUTORS == ("serial", "thread", "process")
+        assert EXECUTORS == ("serial", "process")
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_unknown_transport_rejected_for_every_executor(self, executor):
         """A bogus transport fails fast even where it would never be
-        used (serial/thread), instead of being silently ignored."""
+        used (serial), instead of being silently ignored."""
         with pytest.raises(ValueError, match="unknown transport"):
             run_suite(["merge_path"], scale="smoke", limit=1,
                       executor=executor, transport="telepathy")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_explicit_transport_requires_process_executor(self, executor):
+    def test_explicit_transport_requires_process_executor(self):
         """Same contract as the CLI: asking for a specific transport on
         an executor that will never use it is an error, not a no-op."""
         with pytest.raises(ValueError, match="executor='process'"):
             run_suite(["merge_path"], scale="smoke", limit=1,
-                      executor=executor, transport="shm")
+                      executor="serial", transport="shm")
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_workers_above_one_require_process_executor(self, workers):
+        """A pool width the serial loop would never use is an error, not
+        a silent single-worker run (the CLI exits 2 on the same ask)."""
+        with pytest.raises(ValueError, match="executor='process'"):
+            run_suite(["merge_path"], scale="smoke", limit=1,
+                      executor="serial", max_workers=workers)
+
+    def test_serial_is_the_default_executor(self, monkeypatch):
+        import repro.engine.worker_pool as worker_pool
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default sweep must not start a pool")
+
+        monkeypatch.setattr(worker_pool, "SweepExecutor", no_pool)
+        rows = run_suite(["merge_path"], scale="smoke", limit=2, max_workers=1)
+        assert len(rows) == 2
 
     def test_tensor_corpus_shm_sweep_matches_pickle_and_serial(self):
         """The 5-path row-set equality, extended to a *tensor corpus*:
@@ -146,8 +157,6 @@ class TestExecutorEquivalence:
         kwargs = dict(app="spmttkrp", datasets=tensors, seed=3)
         paths = {
             "serial": run_suite(grid, executor="serial", **kwargs),
-            "thread": run_suite(grid, executor="thread", max_workers=4,
-                                **kwargs),
             "pickle_transport": run_suite(grid, executor="process",
                                           max_workers=2, transport="pickle",
                                           **kwargs),
@@ -168,17 +177,28 @@ class TestExecutorEquivalence:
     def test_empty_dataset_list(self):
         assert run_suite(["merge_path"], datasets=[], executor="process") == []
 
-    def test_plan_cache_dir_restored_after_suite(self, tmp_path):
+    def test_plan_store_restored_after_suite(self, tmp_path):
         """run_suite must not leave the global cache pointed at the
-        caller's (possibly temporary) directory."""
-        from repro.engine import clear_plan_cache, global_plan_cache
+        caller's (possibly temporary) plan store: the previous target
+        is reattached afterwards."""
+        from repro.engine import (
+            ExecutionContext,
+            clear_plan_cache,
+            configure_global_plan_cache,
+            global_plan_cache,
+        )
 
-        before = global_plan_cache().cache_dir
-        clear_plan_cache()  # memory hits would skip the disk store
-        run_suite(["merge_path"], scale="smoke", limit=2,
-                  plan_cache_dir=tmp_path / "plans")
-        assert global_plan_cache().cache_dir == before
-        assert list((tmp_path / "plans").glob("plan-*.pkl"))  # used meanwhile
+        before = tmp_path / "before.journal"
+        during = tmp_path / "during.journal"
+        configure_global_plan_cache(before)
+        try:
+            clear_plan_cache()  # memory hits would skip the store
+            run_suite(["merge_path"], scale="smoke", limit=2,
+                      ctx=ExecutionContext(plan_store=str(during)))
+            assert global_plan_cache().store_path == before
+            assert during.stat().st_size > 0  # used meanwhile
+        finally:
+            configure_global_plan_cache(None)
 
 
 class TestSharding:
@@ -188,11 +208,8 @@ class TestSharding:
             app="spmv",
             kernels=tuple(KERNELS),
             dataset=ds,
-            spec=V100,
-            engine="vector",
             seed=0,
             validate=True,
-            plan_cache_dir=None,
         )
         rows = _run_shard(task)
         assert [r.kernel for r in rows] == KERNELS
@@ -206,11 +223,8 @@ class TestSharding:
             app="spmv",
             kernels=("merge_path",),
             dataset=ds,
-            spec=V100,
-            engine="vector",
             seed=0,
             validate=False,
-            plan_cache_dir=None,
         )
         clone = pickle.loads(pickle.dumps(task))
         assert clone.dataset.name == ds.name
@@ -224,6 +238,7 @@ class TestSharding:
             configure_global_plan_cache,
             global_plan_cache,
         )
+        from repro.engine.worker_pool import _BatchItem, _run_batch
 
         ds = load_dataset("tiny_diag_32", "smoke")
         store_path = tmp_path / "plans.journal"
@@ -235,45 +250,63 @@ class TestSharding:
             validate=False,
             ctx=ExecutionContext(plan_store=str(store_path)),
         )
+        item = _BatchItem(task=task, index=0, dataset_key=None, placement={})
         try:
             clear_plan_cache()
-            _run_shard(task)
+            (rows,), _publications = _run_batch((item,))
+            assert [r.kernel for r in rows] == ["merge_path"]
             assert global_plan_cache().store_path == store_path
             assert store_path.is_file()
             assert len(global_plan_cache().store) > 0
         finally:
             configure_global_plan_cache(None)
 
-    def test_shard_configures_worker_plan_cache(self, tmp_path):
+    def test_shard_leaves_the_parent_cache_alone(self, tmp_path):
+        """``_run_shard`` itself never re-points the process-global plan
+        cache, so a shard degraded into the parent keeps its store."""
         from repro.engine import (
-            clear_plan_cache,
+            ExecutionContext,
             configure_global_plan_cache,
             global_plan_cache,
         )
 
-        ds = load_dataset("tiny_diag_32", "smoke")
+        parent = tmp_path / "parent.journal"
         task = _ShardTask(
             app="spmv",
             kernels=("merge_path",),
-            dataset=ds,
-            spec=V100,
-            engine="vector",
-            seed=0,
-            validate=False,
-            plan_cache_dir=str(tmp_path / "plans"),
+            dataset=load_dataset("tiny_diag_32", "smoke"),
+            ctx=ExecutionContext(plan_store=str(tmp_path / "shard.journal")),
         )
+        configure_global_plan_cache(parent)
         try:
-            # Memory hits skip the disk store; start the key cold so the
-            # shard's plan demonstrably reaches the directory.
-            clear_plan_cache()
             _run_shard(task)
-            assert global_plan_cache().cache_dir == tmp_path / "plans"
-            assert list((tmp_path / "plans").glob("plan-*.pkl"))
+            assert global_plan_cache().store_path == parent
         finally:
             configure_global_plan_cache(None)
 
 
 class TestAmbientRestoreWarning:
+    def test_storeless_shard_attaches_the_ambient_store(self, monkeypatch, tmp_path):
+        from repro.engine import (
+            PLAN_STORE_ENV,
+            ExecutionContext,
+            configure_global_plan_cache,
+            global_plan_cache,
+        )
+        from repro.evaluation import harness
+
+        ambient = tmp_path / "ambient.journal"
+        monkeypatch.setenv(PLAN_STORE_ENV, str(ambient))
+        try:
+            harness._attach_plan_store(ExecutionContext())
+            assert global_plan_cache().store_path == ambient
+            harness._attach_plan_store(
+                ExecutionContext(plan_store=str(tmp_path / "sweep.journal"))
+            )
+            assert global_plan_cache().store_path == tmp_path / "sweep.journal"
+        finally:
+            configure_global_plan_cache(None)
+
     def test_unusable_env_target_warns_once_per_process(self, monkeypatch, tmp_path):
         """Regression: a typo'd REPRO_PLAN_STORE used to degrade to
         no-persistence with zero signal."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import available_apps, get_app
+from repro.engine import ExecutionContext, available_apps, get_app
 from repro.evaluation.harness import run_cell, run_suite
 from repro.sparse import generators as gen
 from repro.sparse.corpus import load_dataset
@@ -135,8 +135,8 @@ class TestVectorizedTriangleCount:
 
         matrix = gen.power_law(24, 24, 4.0, 1.9, seed=seed)
         expected = triangle_count_reference(matrix)
-        vector = triangle_count(matrix, engine="vector").output
-        simt = triangle_count(matrix, engine="simt").output
+        vector = triangle_count(matrix, ctx=ExecutionContext(engine="vector")).output
+        simt = triangle_count(matrix, ctx=ExecutionContext(engine="simt")).output
         assert vector == expected == simt
 
     def test_matches_brute_force(self):
@@ -192,8 +192,8 @@ class TestHashedSpgemmAccumulator:
 
         a = gen.power_law(16, 16, 3.0, 1.9, seed=seed)
         ref = spgemm_reference(a, a).to_dense()
-        vec = spgemm(a, a, engine="vector").output.to_dense()
-        simt = spgemm(a, a, engine="simt").output.to_dense()
+        vec = spgemm(a, a, ctx=ExecutionContext(engine="vector")).output.to_dense()
+        simt = spgemm(a, a, ctx=ExecutionContext(engine="simt")).output.to_dense()
         np.testing.assert_allclose(vec, ref)
         np.testing.assert_allclose(simt, ref)
 
@@ -217,8 +217,16 @@ class TestSweptParity:
     def test_vector_and_simt_rows_agree(self, app_name):
         assert app_name in available_apps()
         ds = [load_dataset("tiny_uniform_64", "smoke")]
-        vec = run_suite(["thread_mapped"], app=app_name, datasets=ds,
-                        engine="vector")
-        simt = run_suite(["thread_mapped"], app=app_name, datasets=ds,
-                         engine="simt")
+        vec = run_suite(
+            ["thread_mapped"],
+            app=app_name,
+            datasets=ds,
+            ctx=ExecutionContext(engine="vector"),
+        )
+        simt = run_suite(
+            ["thread_mapped"],
+            app=app_name,
+            datasets=ds,
+            ctx=ExecutionContext(engine="simt"),
+        )
         assert [r.dataset for r in vec] == [r.dataset for r in simt]

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.apps.traversal import advance_workspec, run_frontier_loop, traversal_costs
+from repro.engine import Runtime
 from repro.gpusim.arch import V100
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.graph import CsrGraph, random_graph
+
+
+#: The frontier loop's runtime: vector engine, the graph apps' default
+#: ``group_mapped`` schedule.
+RT = Runtime(policy="group_mapped")
 
 
 class TestAdvanceWorkspec:
@@ -46,7 +52,7 @@ class TestFrontierLoop:
             mask[np.unique(dsts[fresh])] = True
             return mask
 
-        iters, stats = run_frontier_loop(g, 0, relax)
+        iters, stats = run_frontier_loop(g, 0, relax, rt=RT)
         # Matches a plain reachability computation.
         from repro.apps.bfs import bfs_reference
 
@@ -63,7 +69,7 @@ class TestFrontierLoop:
                 mask[np.unique(dsts)] = True
             return mask
 
-        iters, stats = run_frontier_loop(g, 0, relax_once)
+        iters, stats = run_frontier_loop(g, 0, relax_once, rt=RT)
         assert len(iters) == 2
         assert iters[0].frontier_size == 1
         assert iters[1].frontier_size >= 1
@@ -77,20 +83,27 @@ class TestFrontierLoop:
             mask[np.unique(dsts)] = True
             return mask  # never converges on its own
 
-        iters, _ = run_frontier_loop(g, 0, relax_all, max_iterations=3)
+        iters, _ = run_frontier_loop(g, 0, relax_all, max_iterations=3, rt=RT)
         assert len(iters) == 3
 
     def test_isolated_source_single_iteration(self):
         csr = CsrMatrix.from_dense(np.zeros((4, 4)))
         g = CsrGraph(csr)
-        iters, stats = run_frontier_loop(g, 2, lambda *a: np.zeros(4, dtype=bool))
+        iters, stats = run_frontier_loop(
+            g, 2, lambda *a: np.zeros(4, dtype=bool), rt=RT
+        )
         assert len(iters) <= 1
         assert stats.elapsed_ms > 0
 
     def test_bad_source(self):
         g = random_graph(5, 1.0, seed=6)
         with pytest.raises(ValueError, match="source"):
-            run_frontier_loop(g, -1, lambda *a: np.zeros(5, dtype=bool))
+            run_frontier_loop(g, -1, lambda *a: np.zeros(5, dtype=bool), rt=RT)
+
+    def test_runtime_is_required(self):
+        g = random_graph(5, 1.0, seed=6)
+        with pytest.raises(TypeError, match="rt"):
+            run_frontier_loop(g, 0, lambda *a: np.zeros(5, dtype=bool))
 
     def test_schedule_names_respected(self):
         g = random_graph(60, 4.0, seed=7)
@@ -99,5 +112,6 @@ class TestFrontierLoop:
             return np.zeros(60, dtype=bool)
 
         for sched in ("thread_mapped", "merge_path", "group_mapped"):
-            iters, stats = run_frontier_loop(g, 0, relax, schedule=sched)
+            rt = Runtime(policy=sched)
+            iters, stats = run_frontier_loop(g, 0, relax, rt=rt)
             assert iters[0].stats.extras["schedule"] == sched

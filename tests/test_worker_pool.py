@@ -16,7 +16,6 @@ from repro.engine import SweepExecutor, default_executor, shutdown_default_execu
 from repro.engine.worker_pool import (
     TRANSPORTS,
     ArrayBundleHandle,
-    SharedDatasetHandle,
     ShmCodec,
     attach_dataset,
     dataset_content_key,
@@ -54,7 +53,7 @@ class TestSharedMemoryTransport:
         pub = publish_dataset(ds)
         assert pub is not None
         try:
-            assert isinstance(pub.handle, SharedDatasetHandle)
+            assert isinstance(pub.handle, ArrayBundleHandle)
             clone, shm = attach_dataset(pub.handle)
             try:
                 assert clone.name == ds.name and clone.family == ds.family
@@ -95,9 +94,6 @@ class TestSharedMemoryTransport:
 
 class TestArrayBundleTransport:
     """The generalized (codec-based) array-bundle handle."""
-
-    def test_handle_alias_is_the_bundle_type(self):
-        assert SharedDatasetHandle is ArrayBundleHandle
 
     def test_tensor_round_trip(self):
         tensor = random_tensor((48, 32, 16), 700, skew=0.8, seed=5)
@@ -341,30 +337,31 @@ class TestDefaultExecutor:
 class TestWorkerPersistenceScoping:
     def test_knobless_sweep_detaches_previous_sweep_target(self, tmp_path):
         """A persistent worker must not keep writing plans to the
-        previous sweep's (possibly temporary) cache directory once a
-        later sweep carries no persistence knob."""
-        from repro.engine import clear_plan_cache
+        previous sweep's (possibly temporary) plan store once a later
+        sweep carries no store."""
+        from repro.engine import ExecutionContext, clear_plan_cache
 
-        cache_dir = tmp_path / "plans"
+        store_path = tmp_path / "plans.journal"
         # Forked workers inherit the parent's in-memory plan cache;
         # start it cold so the first sweep demonstrably writes to disk.
         clear_plan_cache()
         with SweepExecutor(max_workers=1) as pool:
             run_suite(["merge_path"], scale="smoke", limit=3,
-                      executor="process", pool=pool, plan_cache_dir=cache_dir)
-            files_after_first = set(cache_dir.glob("plan-*.pkl"))
-            assert files_after_first  # the first sweep did persist here
-            # Different kernel => different plans; no knob => the worker
-            # must fall back to ambient (here: none), not the old dir.
+                      executor="process", pool=pool,
+                      ctx=ExecutionContext(plan_store=str(store_path)))
+            size_after_first = store_path.stat().st_size
+            assert size_after_first > 0  # the first sweep did persist here
+            # Different kernel => different plans; no store => the worker
+            # must fall back to ambient (here: none), not the old journal.
             run_suite(["lrb"], scale="smoke", limit=3,
                       executor="process", pool=pool)
-            assert set(cache_dir.glob("plan-*.pkl")) == files_after_first
+            assert store_path.stat().st_size == size_after_first
 
 
 class TestMisuse:
     def test_keep_pool_requires_process_executor(self):
         with pytest.raises(ValueError, match="process"):
-            run_suite(KERNELS, scale="smoke", limit=1, executor="thread",
+            run_suite(KERNELS, scale="smoke", limit=1, executor="serial",
                       keep_pool=True)
 
     def test_pool_requires_process_executor(self):
